@@ -11,6 +11,15 @@ type phase_metrics = {
   summaries : Metrics.measurement;
 }
 
+(* What checker runs over one prepared program share, built on first use:
+   VF tables per checker (a whole value-flow class at a time) and the
+   engine's reverse call index. *)
+type checks = {
+  vfs : (string, Checker_spec.t * Pinpoint_summary.Vf.t) Hashtbl.t;
+  mutable callers : Engine.callers option;
+  mutable vf_summary : Metrics.measurement;  (* summed over class passes *)
+}
+
 type t = {
   prog : Pinpoint_ir.Prog.t;
   transform : Pinpoint_transform.Transform.result;
@@ -23,6 +32,7 @@ type t = {
   store : Store.t option;
       (* disk-resident artifact store; when present [segs] stays empty
          and lookups fault artifacts back in through the LRU *)
+  checks : checks;
 }
 
 let seg_of t name =
@@ -227,18 +237,12 @@ let prepare_with ?resilience ?pool ?store frontend_m (prog : Pinpoint_ir.Prog.t)
     resilience;
     pool;
     store;
-  }
-
-let zero_m =
-  {
-    Metrics.wall_s = 0.0;
-    alloc_bytes = 0.0;
-    major_words = 0.0;
-    promoted_words = 0.0;
+    checks =
+      { vfs = Hashtbl.create 8; callers = None; vf_summary = Metrics.zero };
   }
 
 let prepare ?resilience ?pool ?store prog =
-  prepare_with ?resilience ?pool ?store zero_m prog
+  prepare_with ?resilience ?pool ?store Metrics.zero prog
 
 let prepare_source ?pool ?store ?(file = "<string>") src =
   let prog, fm =
@@ -277,64 +281,101 @@ let seg_size t =
 
 module Vf = Pinpoint_summary.Vf
 
-(* Generate one checker's VF summary table under the exact barrier and
-   span the engine uses when it generates one itself, so incidents and
-   traces are indistinguishable between the resident and store paths. *)
-let generate_vf t (spec : Checker_spec.t) =
-  Resilience.protect ~log:t.resilience ~phase:Resilience.Vf_summary
-    ~subject:spec.Checker_spec.name
-    ~fallback_note:"empty VF summaries; VF pruning disabled" ~fallback:None
-    (fun () ->
-      Obs.span "summary.vf"
-        ~attrs:[ ("checker", spec.Checker_spec.name) ]
-        (fun () -> Some (Vf.generate t.prog (seg_of t) (Checker_spec.vf_spec spec))))
+(* One VF pass for [specs] (the requesting checker first) behind one
+   barrier and span.  The tables are kept resident and, in store mode
+   before sealing, persisted per checker name.  On a crash nothing is
+   kept: each later check of the class retries, and falls back like the
+   engine does if it fails too. *)
+let generate_class t (specs : Checker_spec.t list) =
+  let names = List.map (fun (s : Checker_spec.t) -> s.Checker_spec.name) specs in
+  let tables, m =
+    Metrics.measure (fun () ->
+        Resilience.protect ~log:t.resilience ~phase:Resilience.Vf_summary
+          ~subject:(List.hd names)
+          ~fallback_note:"empty VF summaries; VF pruning disabled"
+          ~fallback:None
+          (fun () ->
+            Obs.span "summary.vf"
+              ~attrs:[ ("checkers", String.concat "," names) ]
+              (fun () ->
+                Some
+                  (Vf.generate_all t.prog (seg_of t)
+                     (List.map Checker_spec.vf_spec specs)))))
+  in
+  let acc = Metrics.add t.checks.vf_summary m in
+  t.checks.vf_summary <- acc;
+  if Obs.metrics_on () then begin
+    Obs.set_gauge (Obs.gauge "phase.vf_summary.wall_s") acc.Metrics.wall_s;
+    Obs.set_gauge
+      (Obs.gauge "phase.vf_summary.alloc_bytes")
+      acc.Metrics.alloc_bytes
+  end;
+  Option.iter
+    (List.iter2
+       (fun (spec : Checker_spec.t) vf ->
+         Hashtbl.replace t.checks.vfs spec.Checker_spec.name (spec, vf);
+         match t.store with
+         | Some st when not (Store.is_sealed st) ->
+           Store.put_vf st spec.Checker_spec.name vf
+         | _ -> ())
+       specs)
+    tables
+
+(* Resident tables are reused only for the very spec they were built for:
+   a custom checker may reuse a built-in's name. *)
+let resident_vf t (spec : Checker_spec.t) =
+  match Hashtbl.find_opt t.checks.vfs spec.Checker_spec.name with
+  | Some (s, vf) when s == spec -> Some vf
+  | _ -> None
+
+let stored_vf t (spec : Checker_spec.t) =
+  Option.bind t.store (fun st -> Store.vf_of st spec.Checker_spec.name)
+
+(* The checker's VF table: resident, faulted from the store, or built
+   with the rest of its class — the built-in checkers of the same class
+   that have no table yet. *)
+let vf_for t (spec : Checker_spec.t) =
+  match resident_vf t spec with
+  | Some _ as r -> r
+  | None -> (
+    match stored_vf t spec with
+    | Some _ as r -> r
+    | None ->
+      let others =
+        List.filter
+          (fun c -> resident_vf t c = None && stored_vf t c = None)
+          (Checkers.class_mates spec)
+      in
+      generate_class t (spec :: others);
+      resident_vf t spec)
 
 let seal_store t specs =
   match t.store with
   | None -> ()
   | Some st ->
-    List.iter
-      (fun (spec : Checker_spec.t) ->
-        match Store.vf_of st spec.Checker_spec.name with
-        | Some _ -> ()
-        | None -> (
-          match generate_vf t spec with
-          | Some vf -> Store.put_vf st spec.Checker_spec.name vf
-          | None -> ()))
-      specs;
+    (match List.filter (fun s -> stored_vf t s = None) specs with
+    | [] -> ()
+    | missing -> generate_class t missing);
     Store.seal st
 
-let check ?config t spec =
-  match t.store with
+let callers t =
+  match t.checks.callers with
+  | Some c -> c
   | None ->
-    Engine.run ?config ~resilience:t.resilience ?pool:t.pool t.prog
-      ~seg_of:(seg_of t) ~rv:t.rv spec
-  | Some st ->
-    (* The VF table lives in the store in store mode: fault it in if a
-       prior check (or {!seal_store}) persisted it, generate-and-persist
-       otherwise.  On a generation crash, mirror the engine's fallback —
-       empty table, pruning off — so reports match a store-off run. *)
-    let vf =
-      match Store.vf_of st spec.Checker_spec.name with
-      | Some _ as r -> r
-      | None -> (
-        match generate_vf t spec with
-        | Some vf as r ->
-          if not (Store.is_sealed st) then
-            Store.put_vf st spec.Checker_spec.name vf;
-          r
-        | None -> None)
-    in
-    let config =
-      match config with Some c -> c | None -> Engine.default_config
-    in
-    let config, vf =
-      match vf with
-      | Some vf -> (config, vf)
-      | None -> ({ config with Engine.use_vf_pruning = false }, Vf.empty ())
-    in
-    Engine.run ~config ~resilience:t.resilience ?pool:t.pool t.prog
-      ~seg_of:(seg_of t) ~rv:t.rv ~vf spec
+    let c = Engine.callers t.prog in
+    t.checks.callers <- Some c;
+    c
+
+let check ?(config = Engine.default_config) t spec =
+  (* On a VF generation crash mirror the engine's own fallback — empty
+     table, pruning off. *)
+  let config, vf =
+    match vf_for t spec with
+    | Some vf -> (config, vf)
+    | None -> ({ config with Engine.use_vf_pruning = false }, Vf.empty ())
+  in
+  Engine.run ~config ~resilience:t.resilience ?pool:t.pool ~vf
+    ~callers:(callers t) t.prog ~seg_of:(seg_of t) ~rv:t.rv spec
 
 let check_all ?config t specs =
   List.map

@@ -14,6 +14,11 @@ type phase_metrics = {
   summaries : Pinpoint_util.Metrics.measurement;
 }
 
+type checks
+(** State shared by the checker runs over one prepared program, built on
+    first use by {!check}: the VF tables of each value-flow class and the
+    engine's reverse call index. *)
+
 type t = {
   prog : Pinpoint_ir.Prog.t;
   transform : Pinpoint_transform.Transform.result;
@@ -32,6 +37,7 @@ type t = {
       (** disk-resident artifact store (DESIGN.md §4.14); when present
           [segs] stays empty and {!seg_of} faults SEGs back in through
           the store's LRU *)
+  checks : checks;
 }
 
 val seg_of : t -> string -> Pinpoint_seg.Seg.t option
@@ -99,15 +105,22 @@ val seg_size : t -> int * int
 
 val seal_store : t -> Checker_spec.t list -> unit
 (** Store mode only (no-op otherwise): generate and persist the VF
-    summary table for each given checker, then seal the store — index,
+    summary table for each given checker — all from one pass, stored per
+    checker name — then seal the store — index,
     checksummed trailer, rename to the epoch file — switching reads to
     the mmap path.  Later {!check} calls fault their VF tables back from
     the sealed blob instead of regenerating them. *)
 
 val check :
   ?config:Engine.config -> t -> Checker_spec.t -> Report.t list * Engine.stats
-(** Run one checker.  In store mode the VF summary table is faulted from
-    the store (or generated and persisted on first use); on a generation
+(** Run one checker.  Its VF summary table comes from an earlier check
+    of its value-flow class (checkers that agree on [follow_operands]),
+    from the store, or from one new pass that builds the tables of the
+    whole class: the checker and every built-in checker of the class
+    still without one.  The first check also builds the reverse call
+    index every later check reuses.  Each pass adds to the
+    [phase.vf_summary.wall_s] / [.alloc_bytes] gauges.  In store mode new
+    tables are persisted until the store is sealed.  On a generation
     crash the engine's fallback is mirrored — empty table, VF pruning
     disabled — so reports match a store-off run. *)
 

@@ -71,3 +71,11 @@ let all =
 
 let by_name n =
   List.find_opt (fun (c : Checker_spec.t) -> c.Checker_spec.name = n) all
+
+let class_mates (spec : Checker_spec.t) =
+  List.filter
+    (fun (c : Checker_spec.t) ->
+      c.Checker_spec.name <> spec.Checker_spec.name
+      && Pinpoint_summary.Vf.same_class (Checker_spec.vf_spec c)
+           (Checker_spec.vf_spec spec))
+    all

@@ -24,3 +24,8 @@ val null_deref : Checker_spec.t
 
 val all : Checker_spec.t list
 val by_name : string -> Checker_spec.t option
+
+val class_mates : Checker_spec.t -> Checker_spec.t list
+(** The other built-in checkers of [spec]'s value-flow class
+    ({!Pinpoint_summary.Vf.same_class}): their VF summaries come out of
+    the same reachability searches (DESIGN.md §4, Summaries). *)

@@ -122,7 +122,10 @@ let all_fields =
       ]
 
 (* Reverse call index: callee name -> (caller function, call statement). *)
-let reverse_calls (prog : Prog.t) : (string, (Func.t * Stmt.t) list) Hashtbl.t =
+type callers = (string, (Func.t * Stmt.t) list) Hashtbl.t
+
+let callers (prog : Prog.t) : callers =
+  Obs.span "engine.callers" @@ fun () ->
   let tbl = Hashtbl.create 64 in
   List.iter
     (fun (f : Func.t) ->
@@ -141,7 +144,7 @@ type search_ctx = {
   rv : Rv.t;
   vf : Vf.t;
   spec : Checker_spec.t;
-  rev : (string, (Func.t * Stmt.t) list) Hashtbl.t;
+  rev : callers;
   cfg : config;
   stats : stats;
   resilience : Resilience.log option;
@@ -540,7 +543,8 @@ let zero_stats () =
     solver = Solver.zero ();
   }
 
-let run ?(config = default_config) ?resilience ?pool ?vf (prog : Prog.t)
+let run ?(config = default_config) ?resilience ?pool ?vf ?callers:rev
+    (prog : Prog.t)
     ~seg_of ~rv (spec : Checker_spec.t) : Report.t list * stats =
   (* The verdict cache is a process-global table but gated per run: enable
      it for the duration of this run according to the config, restoring
@@ -579,7 +583,7 @@ let run ?(config = default_config) ?resilience ?pool ?vf (prog : Prog.t)
     | Some vf -> (config, vf)
     | None -> ({ config with use_vf_pruning = false }, Vf.empty ())
   in
-  let rev = reverse_calls prog in
+  let rev = match rev with Some r -> r | None -> callers prog in
   (* Enumerate sources up front, in program order — this order, not task
      completion order, decides the final report list, cross-source
      deduplication and stats totals, so the output is identical at every

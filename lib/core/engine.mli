@@ -102,11 +102,20 @@ type stats = {
       (** solver counters attributable to this run alone *)
 }
 
+type callers
+(** Reverse call index: for each defined callee, its call sites. *)
+
+val callers : Pinpoint_ir.Prog.t -> callers
+(** Build the reverse call index of a program (one ["engine.callers"]
+    span).  It depends on the program only, so one index serves every
+    checker run over the same program. *)
+
 val run :
   ?config:config ->
   ?resilience:Pinpoint_util.Resilience.log ->
   ?pool:Pinpoint_par.Pool.t ->
   ?vf:Pinpoint_summary.Vf.t ->
+  ?callers:callers ->
   Pinpoint_ir.Prog.t ->
   seg_of:(string -> Pinpoint_seg.Seg.t option) ->
   rv:Pinpoint_summary.Rv.t ->
@@ -131,4 +140,5 @@ val run :
     With [vf] the engine uses the given (resident, incrementally
     maintained) VF-summary table instead of generating one — the analysis
     server's path (DESIGN.md §4.13).  The caller is responsible for the
-    table matching [prog]. *)
+    table matching [prog].  Likewise [callers] replaces the run's own
+    {!callers} build and must index [prog] as it is now. *)

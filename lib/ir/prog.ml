@@ -1,21 +1,41 @@
 type t = {
-  mutable funcs : Func.t list;
+  mutable funcs : Func.t list * Func.t list;
+      (* definition order, then the functions appended since (newest
+         first); one field, so a racing reader sees a consistent pair *)
   by_name : (string, Func.t) Hashtbl.t;
   unit_of : (string, string) Hashtbl.t;
 }
 
 let create () =
-  { funcs = []; by_name = Hashtbl.create 64; unit_of = Hashtbl.create 64 }
+  { funcs = ([], []); by_name = Hashtbl.create 64; unit_of = Hashtbl.create 64 }
 
 let add t ?(unit_name = "main") f =
   if Hashtbl.mem t.by_name f.Func.fname then
     invalid_arg (Printf.sprintf "Prog.add: duplicate function %s" f.Func.fname);
   Hashtbl.add t.by_name f.Func.fname f;
   Hashtbl.add t.unit_of f.Func.fname unit_name;
-  t.funcs <- t.funcs @ [ f ]
+  let fs, added = t.funcs in
+  t.funcs <- (fs, f :: added)
 
 let find t name = Hashtbl.find_opt t.by_name name
-let functions t = t.funcs
+
+(* Appends are folded in on the first read after them, so a run of [n]
+   adds costs O(n) in total rather than O(n^2). *)
+let functions t =
+  match t.funcs with
+  | fs, [] -> fs
+  | fs, added ->
+    let fs = fs @ List.rev added in
+    t.funcs <- (fs, []);
+    fs
+
+let replace_functions t f =
+  let replace g =
+    let g' = f g in
+    Hashtbl.replace t.by_name g.Func.fname g';
+    g'
+  in
+  t.funcs <- (List.map replace (functions t), [])
 
 let unit_name t fname =
   match Hashtbl.find_opt t.unit_of fname with Some u -> u | None -> "main"
@@ -30,7 +50,7 @@ let is_intrinsic name = List.mem name intrinsics
 let is_defined t name = Hashtbl.mem t.by_name name
 
 let call_graph t =
-  let funcs = Array.of_list t.funcs in
+  let funcs = Array.of_list (functions t) in
   let index = Hashtbl.create 64 in
   Array.iteri (fun i f -> Hashtbl.replace index f.Func.fname i) funcs;
   let g = Pinpoint_util.Digraph.create ~initial_capacity:(Array.length funcs) () in
@@ -55,10 +75,10 @@ let bottom_up_sccs t =
     Pinpoint_util.Digraph.sccs g
     |> List.map (fun comp -> List.map (fun i -> funcs.(i)) comp)
 
-let n_stmts t = List.fold_left (fun acc f -> acc + Func.n_stmts f) 0 t.funcs
+let n_stmts t = List.fold_left (fun acc f -> acc + Func.n_stmts f) 0 (functions t)
 
 let loc_estimate t =
-  List.fold_left (fun acc f -> acc + Func.n_stmts f + 2) 0 t.funcs
+  List.fold_left (fun acc f -> acc + Func.n_stmts f + 2) 0 (functions t)
 
 let validate t =
   let rec go = function
@@ -68,6 +88,6 @@ let validate t =
       | Ok () -> go rest
       | Error e -> Error (Printf.sprintf "%s: %s" f.Func.fname e))
   in
-  go t.funcs
+  go (functions t)
 
-let pp ppf t = List.iter (fun f -> Func.pp ppf f) t.funcs
+let pp ppf t = List.iter (fun f -> Func.pp ppf f) (functions t)

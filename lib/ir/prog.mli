@@ -4,19 +4,24 @@
     analysis to one unit, §5.4) and for reporting (the paper counts bugs
     whose control flow spans many units). *)
 
-type t = {
-  mutable funcs : Func.t list;  (** in definition order *)
-  by_name : (string, Func.t) Hashtbl.t;
-  unit_of : (string, string) Hashtbl.t;  (** function name -> unit name *)
-}
+type t
 
 val create : unit -> t
 
 val add : t -> ?unit_name:string -> Func.t -> unit
-(** Register a function (default unit ["main"]).  Raises on duplicates. *)
+(** Register a function (default unit ["main"]) in amortized O(1).  Raises
+    on duplicates. *)
 
 val find : t -> string -> Func.t option
+
 val functions : t -> Func.t list
+(** In definition order. *)
+
+val replace_functions : t -> (Func.t -> Func.t) -> unit
+(** Replace every function by its image, in place and in order.  The
+    image must keep the function's name; the analysis server uses this to
+    splice in re-lowered bodies. *)
+
 val unit_name : t -> string -> string
 
 val intrinsics : string list

@@ -54,7 +54,11 @@ type state = {
   mutable segs : (string, Seg.t) Hashtbl.t;
   mutable rv : Rv.t;
   vfs : (string, Pinpoint.Checker_spec.t * Vf.t) Hashtbl.t;
-      (** resident per-checker VF tables, maintained incrementally *)
+      (** resident per-checker VF tables, built a value-flow class at a
+          time and maintained incrementally *)
+  mutable callers : Pinpoint.Engine.callers option;
+      (** the engine's reverse call index of [prog]; dropped whenever
+          [prog] changes, rebuilt by the next check *)
   mutable epoch : int;  (** bumped once per applied update *)
   mutable n_updates : int;
   mutable n_full_rebuilds : int;
@@ -139,6 +143,7 @@ let full_build st =
   st.segs <- a.Pinpoint.Analysis.segs;
   st.rv <- a.Pinpoint.Analysis.rv;
   Hashtbl.reset st.vfs;
+  st.callers <- None;
   st.digests <- digest_table fdecls;
   st.structure <- structure_digest fdecls
 
@@ -163,6 +168,7 @@ let load ?incident_cap ?pool ?store (files : (string * string) list) : state =
       segs = Hashtbl.create 0;
       rv = Rv.generate (Prog.create ()) (fun _ -> None);
       vfs = Hashtbl.create 8;
+      callers = None;
       epoch = 0;
       n_updates = 0;
       n_full_rebuilds = 0;
@@ -298,23 +304,16 @@ let update_impl (st : state) (changed : (string * string) list) : update_stats
       st.files <- files;
       st.file_fdecls <- file_fdecls;
       st.digests <- digests;
-      st.prog.Prog.funcs <-
-        List.map
-          (fun (f : Func.t) ->
-            match Hashtbl.find_opt lowered f.Func.fname with
-            | Some f' -> f'
-            | None -> f)
-          st.prog.Prog.funcs;
-      Hashtbl.iter (fun name f -> Hashtbl.replace st.prog.Prog.by_name name f)
-        lowered;
+      st.callers <- None;
+      Prog.replace_functions st.prog (fun (f : Func.t) ->
+          Option.value (Hashtbl.find_opt lowered f.Func.fname) ~default:f);
       (* … drop their derived state … *)
       Hashtbl.iter
         (fun name () ->
           Transform.remove st.transform name;
           Hashtbl.remove st.segs name;
           Option.iter (fun store -> Store.remove_fn store name) st.store;
-          Rv.remove st.rv name;
-          Hashtbl.iter (fun _ (_, vf) -> Vf.remove vf name) st.vfs)
+          Rv.remove st.rv name)
         dirty_tbl;
       (* … and reprocess the dirty SCCs bottom-up against the retained
          clean tables, mirroring the batch phase order.  Store mode: the
@@ -384,24 +383,24 @@ let update_impl (st : state) (changed : (string * string) list) : update_stats
           built);
       Rv.update ~resilience:st.resilience st.rv st.prog ~dirty;
       let seg_of = seg_of st in
-      Hashtbl.iter
-        (fun cname (spec, vf) ->
-          (* A crash while refreshing a resident VF table drops the table;
-             the next check regenerates it (or the engine degrades to
-             no-VF-pruning) instead of serving a stale one. *)
-          let ok =
-            Resilience.protect ~log:st.resilience ~phase:Resilience.Vf_summary
-              ~subject:cname
-              ~fallback_note:"resident VF table dropped, regenerated on demand"
-              ~fallback:false
-              (fun () ->
-                Vf.update vf st.prog seg_of
-                  (Pinpoint.Checker_spec.vf_spec spec)
-                  ~dirty;
-                true)
-          in
-          if not ok then Hashtbl.remove st.vfs cname)
-        (Hashtbl.copy st.vfs);
+      (* A crash while refreshing the resident VF tables drops them; the
+         next check regenerates them (or the engine degrades to
+         no-VF-pruning) instead of serving stale ones. *)
+      let resident = Hashtbl.fold (fun _ e acc -> e :: acc) st.vfs [] in
+      let ok =
+        Resilience.protect ~log:st.resilience ~phase:Resilience.Vf_summary
+          ~subject:"resident"
+          ~fallback_note:"resident VF tables dropped, regenerated on demand"
+          ~fallback:false
+          (fun () ->
+            Vf.update_all st.prog seg_of
+              (List.map
+                 (fun (spec, vf) -> (Pinpoint.Checker_spec.vf_spec spec, vf))
+                 resident)
+              ~dirty;
+            true)
+      in
+      if not ok then Hashtbl.reset st.vfs;
       st.epoch <- st.epoch + 1;
       let cone = Hashtbl.length dirty_tbl in
       st.n_funcs_relowered <- st.n_funcs_relowered + cone;
@@ -425,30 +424,53 @@ let update (st : state) (changed : (string * string) list) : update_stats =
 
 (* ---------- checking ---------- *)
 
+let resident_vf st (spec : Pinpoint.Checker_spec.t) =
+  match Hashtbl.find_opt st.vfs spec.Pinpoint.Checker_spec.name with
+  | Some (s, vf) when s == spec -> Some vf
+  | _ -> None
+
+(* A missing table is built with the rest of its value-flow class, as
+   {!Pinpoint.Analysis.check} does. *)
 let check_impl ?config (st : state) (spec : Pinpoint.Checker_spec.t) :
     Pinpoint.Report.t list * Pinpoint.Engine.stats =
   let seg_of = seg_of st in
   let vf =
-    match Hashtbl.find_opt st.vfs spec.Pinpoint.Checker_spec.name with
-    | Some (_, vf) -> Some vf
+    match resident_vf st spec with
+    | Some _ as r -> r
     | None ->
-      let vf =
+      let specs =
+        spec
+        :: List.filter
+             (fun c -> resident_vf st c = None)
+             (Pinpoint.Checkers.class_mates spec)
+      in
+      let tables =
         Resilience.protect ~log:st.resilience ~phase:Resilience.Vf_summary
           ~subject:spec.Pinpoint.Checker_spec.name
           ~fallback_note:"engine runs without VF pruning" ~fallback:None
           (fun () ->
             Some
-              (Vf.generate st.prog seg_of
-                 (Pinpoint.Checker_spec.vf_spec spec)))
+              (Vf.generate_all st.prog seg_of
+                 (List.map Pinpoint.Checker_spec.vf_spec specs)))
       in
       Option.iter
-        (fun vf ->
-          Hashtbl.replace st.vfs spec.Pinpoint.Checker_spec.name (spec, vf))
-        vf;
-      vf
+        (List.iter2
+           (fun (s : Pinpoint.Checker_spec.t) vf ->
+             Hashtbl.replace st.vfs s.Pinpoint.Checker_spec.name (s, vf))
+           specs)
+        tables;
+      resident_vf st spec
+  in
+  let callers =
+    match st.callers with
+    | Some c -> c
+    | None ->
+      let c = Pinpoint.Engine.callers st.prog in
+      st.callers <- Some c;
+      c
   in
   Pinpoint.Engine.run ?config ~resilience:st.resilience ?pool:st.pool ?vf
-    st.prog ~seg_of ~rv:st.rv spec
+    ~callers st.prog ~seg_of ~rv:st.rv spec
 
 let check ?config (st : state) (spec : Pinpoint.Checker_spec.t) :
     Pinpoint.Report.t list * Pinpoint.Engine.stats =

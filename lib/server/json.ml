@@ -124,9 +124,19 @@ let utf8_of_code buf u =
 
 let hex4 c =
   if c.i + 4 > String.length c.s then fail "truncated \\u escape";
-  let v = int_of_string ("0x" ^ String.sub c.s c.i 4) in
+  let digit ch =
+    match ch with
+    | '0' .. '9' -> Char.code ch - Char.code '0'
+    | 'a' .. 'f' -> Char.code ch - Char.code 'a' + 10
+    | 'A' .. 'F' -> Char.code ch - Char.code 'A' + 10
+    | _ -> fail (Printf.sprintf "bad \\u escape at offset %d" c.i)
+  in
+  let v = ref 0 in
+  for k = 0 to 3 do
+    v := (!v lsl 4) lor digit c.s.[c.i + k]
+  done;
   c.i <- c.i + 4;
-  v
+  !v
 
 let parse_string_body c =
   let buf = Buffer.create 16 in

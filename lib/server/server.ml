@@ -785,6 +785,18 @@ let maintain t =
      with Sys_error _ -> ())
   | _ -> ()
 
+let request_op req =
+  Option.value ~default:"check"
+    (Option.bind (Json.member "op" req) Json.string_opt)
+
+(* The substring test spares the reader a second parse of every check
+   line, which can carry whole files. *)
+let is_shutdown line =
+  Pinpoint_util.Pp.contains line "shutdown"
+  && match Json.parse line with
+     | Ok req -> request_op req = "shutdown"
+     | Error _ -> false
+
 (* One request line -> one response line, plus a continue/stop signal.
    The whole handler runs inside an exception barrier: whatever a request
    does to itself, the server (and the resident state, whose mutation
@@ -835,10 +847,7 @@ let handle_line t line : string * [ `Continue | `Stop ] =
           (error_response (Printf.sprintf "bad request: %s" msg), `Continue)
       | Ok req ->
         let id = Json.member "id" req in
-        let op =
-          Option.value ~default:"check"
-            (Option.bind (Json.member "op" req) Json.string_opt)
-        in
+        let op = request_op req in
         if Flight.enabled () then Flight.record ~req:rid ~kind:"request" op;
         let known =
           List.mem op [ "check"; "status"; "metrics"; "dump"; "shutdown" ]
@@ -1001,7 +1010,14 @@ let serve_channels t ic oc : [ `Stop | `Eof ] =
               in
               write_line (overloaded_response ?id t)
             end;
-            loop ()
+            if admitted && is_shutdown line then
+              (* Nothing after a queued shutdown is served: stop reading
+                 instead of blocking in [input_line] on an input the
+                 client may keep open. *)
+              with_lock m (fun () ->
+                  eof := true;
+                  Condition.signal cv)
+            else loop ()
         in
         loop ())
   in
@@ -1021,9 +1037,6 @@ let serve_channels t ic oc : [ `Stop | `Eof ] =
       match action with `Continue -> drain () | `Stop -> `Stop)
   in
   let result = drain () in
-  (* Unblock the reader: closing the input channel makes its pending
-     input_line fail, which it treats as EOF. *)
-  if result = `Stop then close_in_noerr ic;
   Domain.join reader;
   result
 

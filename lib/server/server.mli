@@ -74,9 +74,16 @@ val rss_mb : unit -> float
 (** Resident set size via /proc/self/statm (major-heap size as the
     fallback on non-procfs systems). *)
 
+val serve_channels : t -> in_channel -> out_channel -> [ `Stop | `Eof ]
+(** Serve one request stream: a reader domain feeds a bounded queue
+    (overflowing lines get an ["overloaded"] response and are otherwise
+    dropped), the calling domain answers the queued lines in order.
+    Returns [`Eof] at end of input, or [`Stop] once a [shutdown] is
+    acknowledged; the reader stops reading at a queued [shutdown], so the
+    return does not wait for the peer to close its end. *)
+
 val serve_stdio : t -> unit
-(** Serve requests from stdin, responses to stdout, until EOF or
-    [shutdown]. *)
+(** {!serve_channels} over stdin / stdout. *)
 
 val serve_socket : t -> string -> unit
 (** Bind a Unix-domain socket at the given path and serve one connection

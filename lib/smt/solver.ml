@@ -151,10 +151,10 @@ let obs_publish s =
     Obs.set_gauge (Obs.gauge "qcache.inserts") (float_of_int q.Qcache.inserts);
     Obs.set_gauge (Obs.gauge "qcache.probes") (float_of_int q.Qcache.probes);
     let c = Corecache.stats () in
+    (* Probes and hits are the corecache.n_probe / n_subsume_hit
+       counters; only the entry count is state. *)
     Obs.set_gauge (Obs.gauge "corecache.entries")
-      (float_of_int c.Corecache.entries);
-    Obs.set_gauge (Obs.gauge "corecache.probes") (float_of_int c.Corecache.probes);
-    Obs.set_gauge (Obs.gauge "corecache.hits") (float_of_int c.Corecache.hits)
+      (float_of_int c.Corecache.entries)
   end
 
 let sat_or_unknown = function Sat | Unknown -> true | Unsat -> false

@@ -38,28 +38,42 @@ type fsum = {
 
 type t
 
+val same_class : spec -> spec -> bool
+(** Whether two specs belong to one {e value-flow class}: they agree on
+    [follow_operands], which is all that VF1 and the per-parameter
+    reachability depend on. *)
+
+val generate_all :
+  Pinpoint_ir.Prog.t ->
+  (string -> Pinpoint_seg.Seg.t option) ->
+  spec list ->
+  t list
+(** One table per spec, in the given order, from a single bottom-up walk
+    of the call graph.  Specs of one value-flow class share the
+    per-parameter searches and VF1; only VF2–VF4 are derived per spec.
+    Each table equals what a separate one-spec pass would produce. *)
+
 val generate :
   Pinpoint_ir.Prog.t -> (string -> Pinpoint_seg.Seg.t option) -> spec -> t
+(** [generate_all] for one spec. *)
 
 val empty : unit -> t
 (** A summary table with no entries.  Used as the fallback when summary
     generation crashes: with no VF1/VF4 facts the engine must disable VF
     pruning (descend everywhere) to stay soundy. *)
 
-val update :
-  t ->
+val update_all :
   Pinpoint_ir.Prog.t ->
   (string -> Pinpoint_seg.Seg.t option) ->
-  spec ->
+  (spec * t) list ->
   dirty:(string -> bool) ->
   unit
 (** Incremental regeneration for the analysis server (DESIGN.md §4.13):
-    drop the [dirty] functions' summaries and recompute them bottom-up
-    against the retained clean entries.  [dirty] must be closed under "is
-    a transitive caller of a dirty function"; the table then equals a
-    from-scratch {!generate} over the same program. *)
-
-val remove : t -> string -> unit
+    drop the [dirty] functions' entries from every table and recompute
+    them in one bottom-up walk against the retained clean entries, sharing
+    searches per value-flow class as {!generate_all} does.  [dirty] must
+    be closed under "is a transitive caller of a dirty function"; each
+    table then equals a from-scratch {!generate} over the same program. *)
 
 val find : t -> string -> fsum option
 

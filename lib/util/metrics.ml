@@ -5,6 +5,17 @@ type measurement = {
   promoted_words : float;
 }
 
+let zero =
+  { wall_s = 0.0; alloc_bytes = 0.0; major_words = 0.0; promoted_words = 0.0 }
+
+let add a b =
+  {
+    wall_s = a.wall_s +. b.wall_s;
+    alloc_bytes = a.alloc_bytes +. b.alloc_bytes;
+    major_words = a.major_words +. b.major_words;
+    promoted_words = a.promoted_words +. b.promoted_words;
+  }
+
 exception Timeout
 
 let now () = Unix.gettimeofday ()

@@ -17,6 +17,11 @@ type measurement = {
           resident, which [major_words] alone misses. *)
 }
 
+val zero : measurement
+
+val add : measurement -> measurement -> measurement
+(** Fieldwise sum, for phases measured in several pieces. *)
+
 val measure : ?extra_alloc:(unit -> float) -> (unit -> 'a) -> 'a * measurement
 (** Run the thunk and capture elapsed time and allocation.  Time comes
     from {!now_mono}, so it never goes backwards.  [Gc.allocated_bytes]

@@ -180,8 +180,39 @@ let test_alloc_sites_distinct () =
     (Pinpoint_seg.Seg.alloc_address "f" (List.nth sites 0)
     <> Pinpoint_seg.Seg.alloc_address "f" (List.nth sites 1))
 
+(* Functions come back in definition order across units, and a
+   duplicate definition is still an error. *)
+let test_prog_definition_order () =
+  let names = List.init 40 (fun i -> Printf.sprintf "f%02d" (39 - i)) in
+  let src =
+    String.concat "\n"
+      (List.mapi
+         (fun i n ->
+           (if i mod 10 = 0 then Printf.sprintf "unit \"u%d\";\n" (i / 10)
+            else "")
+           ^ Printf.sprintf "int %s(int a) { return a; }" n)
+         names)
+  in
+  let prog = Helpers.compile src in
+  Alcotest.(check (list string))
+    "definition order" names
+    (List.map (fun (f : Func.t) -> f.Func.fname) (Prog.functions prog));
+  Alcotest.(check string) "unit of the last function" "u3"
+    (Prog.unit_name prog "f00");
+  let extra = Helpers.func (Helpers.compile "int g(int a) { return a; }") "g" in
+  Prog.add prog extra;
+  Alcotest.(check (option string))
+    "append after a read" (Some "g")
+    (Option.map
+       (fun (f : Func.t) -> f.Func.fname)
+       (List.nth_opt (Prog.functions prog) 40));
+  match Prog.add prog extra with
+  | () -> Alcotest.fail "duplicate accepted"
+  | exception Invalid_argument _ -> ()
+
 let suite =
   [
+    Alcotest.test_case "prog definition order" `Quick test_prog_definition_order;
     Alcotest.test_case "ssa single def" `Quick test_ssa_single_def;
     Alcotest.test_case "ssa uses dominated" `Quick test_ssa_uses_dominated;
     Alcotest.test_case "gating exclusive+complete" `Quick test_gating_exclusive;

@@ -143,6 +143,25 @@ let test_span_names_present () =
     ];
   Alcotest.(check bool) "queries recorded" true (queries <> [])
 
+(* All five checkers over one prepared program: one VF pass per
+   value-flow class, one reverse call index, and the VF phase gauges. *)
+let test_shared_check_work () =
+  with_level Obs.Trace @@ fun () ->
+  let a = Pinpoint.Analysis.prepare_source ~file:"<obs-test>" uaf_src in
+  ignore (Pinpoint.Analysis.check_all a Pinpoint.Checkers.all);
+  let count name =
+    List.length
+      (List.filter (fun (s : Obs.span) -> s.Obs.name = name) (Obs.spans ()))
+  in
+  Alcotest.(check int) "summary.vf spans" 2 (count "summary.vf");
+  Alcotest.(check int) "engine.callers spans" 1 (count "engine.callers");
+  let json = Export.metrics_json () in
+  List.iter
+    (fun key ->
+      Alcotest.(check bool) ("metrics mention " ^ key) true
+        (Pinpoint_util.Pp.contains json ("\"" ^ key ^ "\"")))
+    [ "phase.vf_summary.wall_s"; "phase.vf_summary.alloc_bytes" ]
+
 (* --------------------------------------------------------------- *)
 (* Snapshot merge algebra *)
 
@@ -698,6 +717,8 @@ let suite =
     Alcotest.test_case "per-domain tracks disjoint" `Quick
       test_span_tracks_disjoint;
     Alcotest.test_case "phase names present" `Quick test_span_names_present;
+    Alcotest.test_case "one VF pass per class, one caller index" `Quick
+      test_shared_check_work;
     Alcotest.test_case "snapshot merge associativity" `Quick
       test_merge_associative;
     Alcotest.test_case "snapshot diff window algebra" `Quick test_diff_algebra;

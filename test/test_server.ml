@@ -952,9 +952,90 @@ let test_serve_report_identity () =
         "Off = Metrics_only + flight" off metrics;
       Alcotest.(check (list string)) "Off = Trace + flight" off trace)
 
+(* ---------- \u escapes and shutdown over a live stream ---------- *)
+
+(* A short or non-hex \u escape is a parse error, never an exception. *)
+let test_json_bad_unicode_escape () =
+  List.iter
+    (fun bad ->
+      match Json.parse bad with
+      | Ok _ -> Alcotest.failf "accepted %S" bad
+      | Error _ -> ()
+      | exception e -> Alcotest.failf "%S raised %s" bad (Printexc.to_string e))
+    [
+      {|{"op":"check","x":"\u12"}|};
+      {|"\u12"}|};
+      {|{"op":"check","x":"\uzzzz"}|};
+      {|{"x":"\u12|};
+      {|{"x":"\u 123"}|};
+      {|{"x":"\uD83D\u00zz"}|};
+    ]
+
+(* Run [serve_channels] on its own domain over two pipes, feed it
+   [lines] and keep the request pipe open.  Returns the server's result
+   (or [None] if it did not return within [timeout_s]) and every
+   response line. *)
+let serve_over_pipes ?(timeout_s = 60.0) t lines =
+  let req_r, req_w = Unix.pipe ~cloexec:true () in
+  let resp_r, resp_w = Unix.pipe ~cloexec:true () in
+  let done_ = Atomic.make None in
+  let server =
+    Domain.spawn (fun () ->
+        let oc = Unix.out_channel_of_descr resp_w in
+        let r = Server.serve_channels t (Unix.in_channel_of_descr req_r) oc in
+        close_out oc;
+        Atomic.set done_ (Some r))
+  in
+  let client = Unix.out_channel_of_descr req_w in
+  List.iter (fun l -> output_string client (l ^ "\n")) lines;
+  flush client;
+  (* Watchdog: wait for the server to return with the pipe still open. *)
+  let deadline = Unix.gettimeofday () +. timeout_s in
+  while Atomic.get done_ = None && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.01
+  done;
+  let result = Atomic.get done_ in
+  (* Closing our end releases a server that is still reading. *)
+  close_out client;
+  Domain.join server;
+  let ic = Unix.in_channel_of_descr resp_r in
+  let responses = In_channel.input_lines ic in
+  close_in ic;
+  Unix.close req_r;
+  (result, responses)
+
+let test_serve_bad_line_then_shutdown () =
+  let chunks = split_subject 1 (subject ~seed:61 ~loc:150 ()) in
+  let t = Server.create () in
+  Server.load_files t (contents_of chunks);
+  let result, responses =
+    serve_over_pipes t
+      [
+        {|{"op":"check","id":1,"x":"\uzzzz"}|};
+        req_of_files ~id:2 ~checkers:[ "use-after-free" ] [];
+        {|{"op":"shutdown","id":3}|};
+      ]
+  in
+  Alcotest.(check bool) "returned after shutdown, input still open" true
+    (result = Some `Stop);
+  match List.map parse_response responses with
+  | [ bad; next; stop ] ->
+    Alcotest.(check bool) "bad escape answered with an error" false
+      (response_ok bad);
+    Alcotest.(check bool) "next request ok" true (response_ok next);
+    Alcotest.(check (list string))
+      "next request matches batch"
+      (batch_renders (contents_of chunks) Pinpoint.Checkers.use_after_free)
+      (response_renders next);
+    Alcotest.(check bool) "shutdown acknowledged" true (response_ok stop)
+  | rs -> Alcotest.failf "expected 3 responses, got %d" (List.length rs)
+
 let suite =
   [
     Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
+    Alcotest.test_case "json bad \\u escape" `Quick test_json_bad_unicode_escape;
+    Alcotest.test_case "serve: bad line, then shutdown on open input" `Quick
+      test_serve_bad_line_then_shutdown;
     Alcotest.test_case "incremental identity (seq)" `Quick test_identity_seq;
     Alcotest.test_case "incremental identity (jobs 4)" `Quick test_identity_jobs4;
     Alcotest.test_case "dirty cone is partial" `Quick test_cone_is_partial;

@@ -130,6 +130,135 @@ let test_vf_connector_riding () =
       (List.exists (fun (i, _) -> i = 2) s.Vf.vf1)
   | None -> Alcotest.fail "no summary"
 
+(* --- shared VF pass vs the per-checker oracle --- *)
+
+module Analysis = Pinpoint.Analysis
+
+let checkers = Pinpoint.Checkers.all
+let vf_specs = List.map Pinpoint.Checker_spec.vf_spec checkers
+let vf_entries vf =
+  List.sort compare (Vf.fold vf ~init:[] ~f:(fun acc n s -> (n, s) :: acc))
+
+(* Transitive callers of [seed], [seed] included: the caller-closed dirty
+   sets {!Vf.update_all} requires. *)
+let caller_closure prog seed =
+  let g, funcs = Prog.call_graph prog in
+  let dirty = Array.make (Array.length funcs) false in
+  let rec mark i =
+    if not dirty.(i) then begin
+      dirty.(i) <- true;
+      List.iter mark (Pinpoint_util.Digraph.preds g i)
+    end
+  in
+  Array.iteri (fun i (f : Func.t) -> if seed f.Func.fname then mark i) funcs;
+  let names = Hashtbl.create 16 in
+  Array.iteri
+    (fun i (f : Func.t) ->
+      if dirty.(i) then Hashtbl.replace names f.Func.fname ())
+    funcs;
+  Hashtbl.mem names
+
+(* Every checker's shared-pass table equals its oracle table, from
+   scratch and after [update_all] recomputes a random caller-closed
+   dirty set whose entries were first overwritten with junk. *)
+let check_tables ~label ~seed (a : Analysis.t) =
+  let prog = a.Analysis.prog and seg_of = Analysis.seg_of a in
+  let oracle =
+    List.map
+      (fun spec ->
+        vf_entries (Vf_oracle.to_vf (Vf_oracle.generate prog seg_of spec)))
+      vf_specs
+  in
+  let shared = Vf.generate_all prog seg_of vf_specs in
+  let compare_all what =
+    List.iter2
+      (fun (c : Pinpoint.Checker_spec.t) (want, got) ->
+        if want <> vf_entries got then
+          Alcotest.failf "%s: %s table differs (%s)" label
+            c.Pinpoint.Checker_spec.name what)
+      checkers (List.combine oracle shared)
+  in
+  compare_all "generate_all";
+  let rng = Random.State.make [| seed |] in
+  let dirty = caller_closure prog (fun _ -> Random.State.int rng 4 = 0) in
+  let junk = { Vf.vf1 = [ (9, 9) ]; vf2 = [ 9 ]; vf3 = [ 9 ]; vf4 = [ 9 ] } in
+  List.iter
+    (fun vf ->
+      List.iter
+        (fun (f : Func.t) ->
+          if dirty f.Func.fname then Vf.add vf f.Func.fname junk)
+        (Prog.functions prog))
+    shared;
+  Vf.update_all prog seg_of (List.combine vf_specs shared) ~dirty;
+  compare_all "update_all"
+
+let render rs =
+  List.map
+    (fun r -> (Pinpoint.Report.one_line r, Pinpoint.Report.is_reported r))
+    rs
+
+(* [Analysis.check] (shared pass, cached caller index) reports exactly
+   what [Engine.run] reports with the checker's own oracle table. *)
+let check_reports ~label (a : Analysis.t) =
+  List.iter
+    (fun (c : Pinpoint.Checker_spec.t) ->
+      let got, _ = Analysis.check a c in
+      let vf =
+        Vf_oracle.to_vf
+          (Vf_oracle.generate a.Analysis.prog (Analysis.seg_of a)
+             (Pinpoint.Checker_spec.vf_spec c))
+      in
+      let want, _ =
+        Pinpoint.Engine.run ?pool:a.Analysis.pool ~vf a.Analysis.prog
+          ~seg_of:(Analysis.seg_of a) ~rv:a.Analysis.rv c
+      in
+      if render want <> render got then
+        Alcotest.failf "%s: %s reports differ" label
+          c.Pinpoint.Checker_spec.name)
+    checkers
+
+let differential ~label ~seed src =
+  Test_corpus.with_test_pool @@ fun pool ->
+  let a = Analysis.prepare_source ?pool ~file:label src in
+  check_tables ~label ~seed a;
+  check_reports ~label a;
+  let store = Pinpoint_store.Store.create ~dir:(Test_store.tmp_dir ()) () in
+  Fun.protect ~finally:(fun () -> Pinpoint_store.Store.close store) @@ fun () ->
+  check_reports ~label:(label ^ " (store)")
+    (Analysis.prepare_source ?pool ~store ~file:label src)
+
+let test_shared_vf_corpus () =
+  let dir = Test_corpus.corpus_dir () in
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".mc")
+  |> List.sort compare
+  |> List.iteri (fun i f ->
+         let path = Filename.concat dir f in
+         differential ~label:f ~seed:i
+           (In_channel.with_open_bin path In_channel.input_all))
+
+let test_shared_vf_subjects () =
+  List.filteri (fun i _ -> i < 3)
+    (List.sort
+       (fun (a : Pinpoint_workload.Subjects.info) b ->
+         compare a.paper_kloc b.paper_kloc)
+       Pinpoint_workload.Subjects.all)
+  |> List.iteri (fun i (info : Pinpoint_workload.Subjects.info) ->
+         let s = Pinpoint_workload.Subjects.generate info in
+         differential ~label:info.name ~seed:i s.Pinpoint_workload.Gen.source)
+
+let test_shared_vf_generated =
+  Helpers.qtest ~count:12 "shared VF pass = per-checker oracle (Gen)"
+    QCheck.(int_range 1 10_000)
+    (fun seed ->
+      let s =
+        Pinpoint_workload.Gen.generate ~name:"vfdiff.mc"
+          { Pinpoint_workload.Gen.default_params with seed; target_loc = 300 }
+      in
+      differential ~label:(Printf.sprintf "gen seed %d" seed) ~seed
+        s.Pinpoint_workload.Gen.source;
+      true)
+
 let suite =
   [
     Alcotest.test_case "rv: identity" `Quick test_rv_identity;
@@ -144,4 +273,7 @@ let suite =
     Alcotest.test_case "vf: transitive" `Quick test_vf_transitive;
     Alcotest.test_case "vf: operand mode" `Quick test_vf_operand_mode;
     Alcotest.test_case "vf: connector riding" `Quick test_vf_connector_riding;
+    Alcotest.test_case "shared vf = oracle (corpus)" `Quick test_shared_vf_corpus;
+    Alcotest.test_case "shared vf = oracle (subjects)" `Quick test_shared_vf_subjects;
+    test_shared_vf_generated;
   ]
