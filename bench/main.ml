@@ -2289,18 +2289,16 @@ let serve () =
   Format.printf "(wrote BENCH_serve.json)@."
 
 (* ------------------------------------------------------------------ *)
-(* scale: MLoC scaling with the disk-resident artifact store
-   (DESIGN.md §4.14).  Subjects of 0.02-4 MLoC (override with
-   PINPOINT_BENCH_SCALE_MLOCS="0.02,0.5") run through the CLI as
-   subprocesses — one process per configuration so the getrusage peak-RSS
-   watermark (read back from --metrics-json) is isolated per run — store
-   off vs on.  The contract: identical reports, and at MLoC scale the
-   store holds peak RSS and artifact bytes/LoC below the all-resident
-   run.  Dumps BENCH_scale.json.  Opt-in (like micro): subprocess runs at
-   4 MLoC take minutes. *)
+(* scale: MLoC scaling of the in-memory pipeline.  Subjects of 0.02-4
+   MLoC (override with PINPOINT_BENCH_SCALE_MLOCS="0.02,0.5") run through
+   the CLI as subprocesses — one process per size so the getrusage
+   peak-RSS watermark (read back from --metrics-json) is isolated per
+   run.  Reports per-size wall and peak RSS, plus the local wall exponent
+   between consecutive sizes (log-log slope; 1.0 = linear).  Dumps
+   BENCH_scale.json.  Opt-in (like micro): a 4 MLoC run takes minutes. *)
 
 let scale () =
-  Format.printf "@.=== scale: MLoC subjects, store on vs off ===@.";
+  Format.printf "@.=== scale: MLoC subjects, in-memory wall and peak RSS ===@.";
   let mlocs =
     match Sys.getenv_opt "PINPOINT_BENCH_SCALE_MLOCS" with
     | Some s ->
@@ -2351,23 +2349,6 @@ let scale () =
     in
     find 0
   in
-  let file_eq a b =
-    let read f =
-      let ic = open_in_bin f in
-      let s = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      s
-    in
-    read a = read b
-  in
-  let dir_bytes d =
-    if Sys.file_exists d then
-      Array.fold_left
-        (fun acc f ->
-          acc + (Unix.stat (Filename.concat d f)).Unix.st_size)
-        0 (Sys.readdir d)
-    else 0
-  in
   let rows =
     List.map
       (fun mloc ->
@@ -2380,72 +2361,60 @@ let scale () =
         output_string oc subject.Gen.source;
         close_out oc;
         let loc = subject.Gen.loc in
-        Format.printf "%.2f MLoC (%d lines): store off...@." mloc loc;
-        let m_off = Filename.concat base (str "off%s.json" tag) in
-        let r_off = Filename.concat base (str "off%s.txt" tag) in
-        let t_off =
+        Format.printf "%.2f MLoC (%d lines)...@." mloc loc;
+        let metrics = Filename.concat base (str "m%s.json" tag) in
+        let wall =
           sh
             (str "%s check %s -c use-after-free --jobs %d --metrics-json %s > %s"
                (Filename.quote cli) (Filename.quote src) jobs
-               (Filename.quote m_off) (Filename.quote r_off))
+               (Filename.quote metrics) (Filename.quote Filename.null))
         in
-        Format.printf "  ... on@.";
-        let store_dir = Filename.concat base (str "store%s" tag) in
-        let m_on = Filename.concat base (str "on%s.json" tag) in
-        let r_on = Filename.concat base (str "on%s.txt" tag) in
-        let t_on =
-          sh
-            (str
-               "%s check %s -c use-after-free --jobs %d --store-dir %s \
-                --metrics-json %s > %s"
-               (Filename.quote cli) (Filename.quote src) jobs
-               (Filename.quote store_dir) (Filename.quote m_on)
-               (Filename.quote r_on))
-        in
-        let rss_off = metric_of m_off "process.maxrss_kb" in
-        let rss_on = metric_of m_on "process.maxrss_kb" in
-        let store_bytes = dir_bytes store_dir in
-        let identical = file_eq r_off r_on in
+        let rss = metric_of metrics "process.maxrss_kb" in
         Sys.remove src;
-        (mloc, loc, t_off, t_on, rss_off, rss_on, store_bytes, identical))
+        Sys.remove metrics;
+        (mloc, loc, wall, rss))
       mlocs
   in
+  (try Unix.rmdir base with Unix.Unix_error _ -> ());
+  (* Local exponent of wall in LoC against the previous size. *)
+  let exps =
+    List.mapi
+      (fun i (_, loc, wall, _) ->
+        if i = 0 then None
+        else
+          let _, loc0, wall0, _ = List.nth rows (i - 1) in
+          Some
+            (log (wall /. wall0)
+            /. log (float_of_int loc /. float_of_int loc0)))
+      rows
+  in
   Pp.table
-    ~header:
-      [ "MLoC"; "rss off"; "rss on"; "wall off"; "wall on"; "store B/LoC"; "reports" ]
+    ~header:[ "MLoC"; "wall"; "peak rss"; "wall exp" ]
     ~rows:
-      (List.map
-         (fun (mloc, loc, t_off, t_on, rss_off, rss_on, sb, id) ->
+      (List.map2
+         (fun (mloc, _, wall, rss) e ->
            [
              str "%.2f" mloc;
-             str "%a" pp_bytes (rss_off *. 1024.0);
-             str "%a" pp_bytes (rss_on *. 1024.0);
-             str "%a" pp_dur t_off;
-             str "%a" pp_dur t_on;
-             str "%.1f" (float_of_int sb /. float_of_int loc);
-             (if id then "identical" else "DIFFER");
+             str "%a" pp_dur wall;
+             str "%a" pp_bytes (rss *. 1024.0);
+             (match e with Some e -> str "%.2f" e | None -> "-");
            ])
-         rows)
+         rows exps)
     Format.std_formatter ();
   let oc = open_out "BENCH_scale.json" in
   let out fmt = Printf.fprintf oc fmt in
   out "{\n  \"experiment\": \"scale\",\n  \"jobs\": %d,\n  \"rows\": [\n" jobs;
   List.iteri
-    (fun i (mloc, loc, t_off, t_on, rss_off, rss_on, sb, id) ->
+    (fun i ((mloc, loc, wall, rss), e) ->
       out
-        "    {\"mloc\": %.3f, \"loc\": %d, \"wall_off_s\": %.3f, \
-         \"wall_on_s\": %.3f, \"maxrss_off_kb\": %.0f, \"maxrss_on_kb\": \
-         %.0f, \"store_bytes\": %d, \"store_bytes_per_loc\": %.2f, \
-         \"reports_identical\": %b}%s\n"
-        mloc loc t_off t_on rss_off rss_on sb
-        (float_of_int sb /. float_of_int loc)
-        id
+        "    {\"mloc\": %.3f, \"loc\": %d, \"wall_s\": %.3f, \
+         \"maxrss_kb\": %.0f, \"wall_exponent\": %s}%s\n"
+        mloc loc wall rss
+        (match e with Some e -> str "%.3f" e | None -> "null")
         (if i = List.length rows - 1 then "" else ","))
-    rows;
+    (List.combine rows exps);
   out "  ]\n}\n";
   close_out oc;
-  if List.exists (fun (_, _, _, _, _, _, _, id) -> not id) rows then
-    failwith "scale: store-on reports diverged from store-off";
   Format.printf "(wrote BENCH_scale.json)@."
 
 (* ------------------------------------------------------------------ *)

@@ -165,26 +165,6 @@ let chunk_size_arg =
            weight-balanced chunks per worker.  A tuning knob for \
            $(b,--jobs); reports and stats are identical at every value.")
 
-(* Artifact-store flags (DESIGN.md §4.14), shared by check and serve. *)
-
-let store_dir_arg =
-  Arg.(
-    value & opt (some string) None
-    & info [ "store-dir" ] ~docv:"DIR"
-        ~doc:
-          "Spill per-function analysis artifacts (points-to results, SEGs, \
-           value-flow summaries) to a disk-resident store under $(docv), \
-           bounding peak memory for MLoC subjects.  Reports are identical \
-           to an in-memory run.")
-
-let max_resident_arg =
-  Arg.(
-    value & opt int 64
-    & info [ "max-resident-fns" ] ~docv:"N"
-        ~doc:
-          "With $(b,--store-dir): keep at most $(docv) decoded functions \
-           resident per artifact kind (LRU; 0 = unbounded).")
-
 let rss_cap_arg =
   Arg.(
     value & opt float 0.0
@@ -192,20 +172,7 @@ let rss_cap_arg =
         ~doc:
           "Fail (exit 3) if the process peak RSS exceeded $(docv) megabytes \
            by the end of the run (0 = no cap).  Used by CI to pin the \
-           store's memory bound.")
-
-let with_store ~store_dir ~max_resident f =
-  match store_dir with
-  | None -> f None
-  | Some dir ->
-    (* Store mode trades CPU for bounded memory; decode faults churn the
-       major heap, so run the GC with a tighter space overhead or the
-       slack eats the residency savings.  Only ever lower it, so an
-       explicit OCAMLRUNPARAM o=... below 40 still wins. *)
-    let g = Gc.get () in
-    if g.Gc.space_overhead > 40 then Gc.set { g with Gc.space_overhead = 40 };
-    let st = Pinpoint_store.Store.create ~dir ~max_resident () in
-    f (Some st)
+           in-memory analysis's peak memory.")
 
 let check_rss_cap ~rss_cap_mb =
   if rss_cap_mb > 0.0 then begin
@@ -216,13 +183,11 @@ let check_rss_cap ~rss_cap_mb =
     end
   end
 
-let publish_process_obs store =
-  if Pinpoint_obs.Obs.metrics_on () then begin
-    Option.iter Pinpoint_store.Store.publish_obs store;
+let publish_process_obs () =
+  if Pinpoint_obs.Obs.metrics_on () then
     Pinpoint_obs.Obs.set_gauge
       (Pinpoint_obs.Obs.gauge "process.maxrss_kb")
       (float_of_int (Pinpoint_util.Metrics.peak_rss_kb ()))
-  end
 
 (* Observability flags (DESIGN.md §4.11), shared by check and stats.
    Observability never changes the analysis: reports and stats are
@@ -305,13 +270,12 @@ let print_incidents ~verbose (a : Pinpoint.Analysis.t) =
 let check_cmd =
   let run files checkers verbose confirm deadline_s budget_s solver_conflicts
       seed rate seg_rate no_prune no_qcache no_core_cache no_refine
-      prune_stride jobs chunk_size store_dir max_resident rss_cap_mb trace
+      prune_stride jobs chunk_size rss_cap_mb trace
       metrics_json obs =
     install_injection ~seed ~rate ~seg_rate;
     set_obs_level ~trace ~metrics_json ~obs;
     with_jobs ~chunk_size jobs @@ fun pool ->
-    with_store ~store_dir ~max_resident @@ fun store ->
-    match Pinpoint.Analysis.prepare_files ?pool ?store files with
+    match Pinpoint.Analysis.prepare_files ?pool files with
     | exception Pinpoint_frontend.Parser.Error (msg, line) ->
       Printf.eprintf "%s:%d: parse error: %s\n" (String.concat "," files) line
         msg;
@@ -321,10 +285,6 @@ let check_cmd =
         loc.Pinpoint_ir.Stmt.line msg;
       exit 1
     | a ->
-      (* Store mode: persist the VF summaries the checkers will need, then
-         seal — the blob gets its index and checksummed trailer, and the
-         checks that follow read artifacts through the mmap path. *)
-      if store <> None then Pinpoint.Analysis.seal_store a checkers;
       let any = ref false in
       List.iter
         (fun (spec : Pinpoint.Checker_spec.t) ->
@@ -381,9 +341,8 @@ let check_cmd =
             statuses)
         checkers;
       print_incidents ~verbose a;
-      publish_process_obs store;
+      publish_process_obs ();
       export_obs ?pool ~trace ~metrics_json ~obs ();
-      Option.iter Pinpoint_store.Store.close store;
       check_rss_cap ~rss_cap_mb;
       if !any then exit 2
   in
@@ -394,8 +353,8 @@ let check_cmd =
       $ inject_seed_arg $ inject_rate_arg
       $ inject_seg_rate_arg $ no_prune_arg $ no_qcache_arg $ no_core_cache_arg
       $ no_refine_arg $ prune_stride_arg
-      $ jobs_arg $ chunk_size_arg $ store_dir_arg $ max_resident_arg
-      $ rss_cap_arg $ trace_arg $ metrics_json_arg $ obs_arg)
+      $ jobs_arg $ chunk_size_arg $ rss_cap_arg $ trace_arg $ metrics_json_arg
+      $ obs_arg)
   in
   Cmd.v (Cmd.info "check" ~doc:"Run checkers on MC source file(s)") term
 
@@ -643,12 +602,11 @@ let no_flight_arg =
 let serve_cmd =
   let run files socket queue_depth max_rss_mb snapshot_dir snapshot_every
       qcache_cap incident_cap deadline_s budget_s solver_conflicts seed rate
-      seg_rate jobs chunk_size store_dir max_resident prom_file prom_every
+      seg_rate jobs chunk_size prom_file prom_every
       flight_file no_flight trace metrics_json obs =
     install_injection ~seed ~rate ~seg_rate;
     set_obs_level ~trace ~metrics_json ~obs;
     with_jobs ~chunk_size jobs @@ fun pool ->
-    with_store ~store_dir ~max_resident @@ fun store ->
     let config =
       {
         Pinpoint_server.Server.queue_depth;
@@ -661,7 +619,6 @@ let serve_cmd =
         solver_budget_s = budget_s;
         solver_conflicts;
         pool;
-        store;
         prom_file;
         prom_every_s = prom_every;
         flight_file;
@@ -694,9 +651,8 @@ let serve_cmd =
     (match socket with
     | Some path -> Pinpoint_server.Server.serve_socket t path
     | None -> Pinpoint_server.Server.serve_stdio t);
-    publish_process_obs store;
-    export_obs ?pool ~trace ~metrics_json ~obs ();
-    Option.iter Pinpoint_store.Store.close store
+    publish_process_obs ();
+    export_obs ?pool ~trace ~metrics_json ~obs ()
   in
   let term =
     Term.(
@@ -704,9 +660,8 @@ let serve_cmd =
       $ snapshot_dir_arg $ snapshot_every_arg $ qcache_cap_arg
       $ incident_cap_arg $ deadline_arg $ solver_budget_arg
       $ solver_conflicts_arg $ inject_seed_arg $ inject_rate_arg
-      $ inject_seg_rate_arg $ jobs_arg $ chunk_size_arg $ store_dir_arg
-      $ max_resident_arg $ prom_file_arg $ prom_every_arg $ flight_file_arg
-      $ no_flight_arg $ trace_arg $ metrics_json_arg $ obs_arg)
+      $ inject_seg_rate_arg $ jobs_arg $ chunk_size_arg $ prom_file_arg
+      $ prom_every_arg $ flight_file_arg $ no_flight_arg $ trace_arg $ metrics_json_arg $ obs_arg)
   in
   Cmd.v
     (Cmd.info "serve"

@@ -2,7 +2,6 @@ module Metrics = Pinpoint_util.Metrics
 module Resilience = Pinpoint_util.Resilience
 module Seg = Pinpoint_seg.Seg
 module Obs = Pinpoint_obs.Obs
-module Store = Pinpoint_store.Store
 
 type phase_metrics = {
   frontend : Metrics.measurement;
@@ -29,18 +28,10 @@ type t = {
   resilience : Resilience.log;
   pool : Pinpoint_par.Pool.t option;
       (* carried so [check] fans its per-source searches out too *)
-  store : Store.t option;
-      (* disk-resident artifact store; when present [segs] stays empty
-         and lookups fault artifacts back in through the LRU *)
   checks : checks;
 }
 
-let seg_of t name =
-  match t.store with
-  | Some st -> Store.seg_of st name
-  | None -> Hashtbl.find_opt t.segs name
-
-let store t = t.store
+let seg_of t name = Hashtbl.find_opt t.segs name
 let incidents t = Resilience.incidents t.resilience
 
 (* Build one function's SEG behind an exception barrier, consulting the
@@ -89,6 +80,39 @@ let build_seg log f pta =
     ~attrs:[ ("fn", f.Pinpoint_ir.Func.fname) ]
     (fun () -> build_seg log f pta)
 
+(* Build the SEGs of [funcs] into [segs].  With a pool, one task per
+   statement-weighted chunk of functions (DESIGN.md §4.15), not one per
+   function; builds are per-function pure and the table writes happen
+   positionally on this thread, so [segs] is identical at any [--jobs]. *)
+let build_segs ?pool log ptas (funcs : Pinpoint_ir.Func.t array) segs =
+  let build (f : Pinpoint_ir.Func.t) =
+    match Hashtbl.find_opt ptas f.Pinpoint_ir.Func.fname with
+    | Some pta -> build_seg log f pta
+    | None -> None
+  in
+  let built =
+    match pool with
+    | Some p when Pinpoint_par.Pool.jobs p > 1 ->
+      let weights =
+        Array.map
+          (fun (f : Pinpoint_ir.Func.t) ->
+            let n = ref 0 in
+            Pinpoint_ir.Func.iter_blocks f (fun blk ->
+                n := !n + List.length blk.Pinpoint_ir.Func.stmts);
+            !n)
+          funcs
+      in
+      Pinpoint_par.Chunk.parallel_map ~weights p build funcs
+    | _ -> Array.map (fun f -> Some (build f)) funcs
+  in
+  Array.iteri
+    (fun i r ->
+      match r with
+      | Some (Some seg) ->
+        Hashtbl.replace segs funcs.(i).Pinpoint_ir.Func.fname seg
+      | _ -> ())
+    built
+
 (* Force every variable's SMT symbol in program order.  [Var.symbol] is
    lazy and the symbol registry assigns ids in creation order; forcing
    them here — sequentially, after the transform has added its conduit
@@ -109,12 +133,11 @@ let force_symbols (prog : Pinpoint_ir.Prog.t) =
             (Pinpoint_ir.Stmt.uses s)))
     (Pinpoint_ir.Prog.functions prog)
 
-let prepare_with ?resilience ?pool ?store frontend_m (prog : Pinpoint_ir.Prog.t)
+let prepare_with ?resilience ?pool frontend_m (prog : Pinpoint_ir.Prog.t)
     : t =
   let resilience =
     match resilience with Some r -> r | None -> Resilience.create ()
   in
-  Option.iter (fun st -> Store.register_program st prog) store;
   Option.iter
     (fun p -> Pinpoint_par.Pool.set_log p (Some resilience))
     pool;
@@ -128,16 +151,7 @@ let prepare_with ?resilience ?pool ?store frontend_m (prog : Pinpoint_ir.Prog.t)
   let transform, tm =
     Metrics.measure ~extra_alloc (fun () ->
         Obs.span "transform" (fun () ->
-            match store with
-            | Some st ->
-              (* Spill mode: points-to results stream to the store per
-                 SCC instead of accumulating; [transform.ptas] stays
-                 empty.  Sequential — the id/symbol order is the one the
-                 sequential path produces, so artifacts decode to the
-                 exact objects a store-off run would hold. *)
-              Pinpoint_transform.Transform.run ~resilience
-                ~pta_sink:(Store.put_pta st) prog
-            | None -> Pinpoint_transform.Transform.run ~resilience ?pool prog))
+            Pinpoint_transform.Transform.run ~resilience ?pool prog))
   in
   let segs, sm =
     Metrics.measure ~extra_alloc (fun () ->
@@ -148,72 +162,16 @@ let prepare_with ?resilience ?pool ?store frontend_m (prog : Pinpoint_ir.Prog.t)
         force_symbols prog;
         let funcs = Array.of_list (Pinpoint_ir.Prog.functions prog) in
         Seg.reserve_addresses (Array.to_list funcs);
-        match store with
-        | Some st ->
-          (* Sequential build-and-spill: fault each function's PTA back
-             in (bounded by the store LRU), build its SEG, spill it.
-             Peak heap is one function plus the LRU, not the program. *)
-          Array.iter
-            (fun (f : Pinpoint_ir.Func.t) ->
-              let fname = f.Pinpoint_ir.Func.fname in
-              Resilience.protect ~log:resilience ~phase:Resilience.Seg_build
-                ~subject:fname ~fallback_note:"function gets no SEG"
-                ~fallback:()
-                (fun () ->
-                  match Store.pta_of st fname with
-                  | None -> ()
-                  | Some pta -> (
-                    match build_seg resilience f pta with
-                    | Some seg -> Store.put_seg st fname seg
-                    | None -> ())))
-            funcs;
-          Hashtbl.create 1
-        | None ->
-          let build (f : Pinpoint_ir.Func.t) =
-            match
-              Hashtbl.find_opt transform.Pinpoint_transform.Transform.ptas
-                f.Pinpoint_ir.Func.fname
-            with
-            | Some pta -> build_seg resilience f pta
-            | None -> None
-          in
-          let built =
-            match pool with
-            | Some p when Pinpoint_par.Pool.jobs p > 1 ->
-              (* One pool task per statement-weighted chunk of functions
-                 (DESIGN.md §4.15), not one per function. *)
-              let weights =
-                Array.map
-                  (fun (f : Pinpoint_ir.Func.t) ->
-                    let n = ref 0 in
-                    Pinpoint_ir.Func.iter_blocks f (fun blk ->
-                        n := !n + List.length blk.Pinpoint_ir.Func.stmts);
-                    !n)
-                  funcs
-              in
-              Pinpoint_par.Chunk.parallel_map ~weights p build funcs
-            | _ -> Array.map (fun f -> Some (build f)) funcs
-          in
-          let segs = Hashtbl.create 64 in
-          Array.iteri
-            (fun i r ->
-              match r with
-              | Some (Some seg) ->
-                Hashtbl.replace segs funcs.(i).Pinpoint_ir.Func.fname seg
-              | _ -> ())
-            built;
-          segs)
+        let segs = Hashtbl.create 64 in
+        build_segs ?pool resilience transform.Pinpoint_transform.Transform.ptas
+          funcs segs;
+        segs)
   in
   let rv, rm =
     Metrics.measure ~extra_alloc (fun () ->
         Obs.span "summary" (fun () ->
-            match store with
-            | Some st ->
-              Pinpoint_summary.Rv.generate ~resilience
-                ~backend:(Store.rv_backend st) prog (Store.seg_of st)
-            | None ->
-              Pinpoint_summary.Rv.generate ~resilience ?pool prog
-                (Hashtbl.find_opt segs)))
+            Pinpoint_summary.Rv.generate ~resilience ?pool prog
+              (Hashtbl.find_opt segs)))
   in
   if Obs.metrics_on () then begin
     let publish name (m : Metrics.measurement) =
@@ -236,54 +194,49 @@ let prepare_with ?resilience ?pool ?store frontend_m (prog : Pinpoint_ir.Prog.t)
       { frontend = frontend_m; transform = tm; seg_build = sm; summaries = rm };
     resilience;
     pool;
-    store;
     checks =
       { vfs = Hashtbl.create 8; callers = None; vf_summary = Metrics.zero };
   }
 
-let prepare ?resilience ?pool ?store prog =
-  prepare_with ?resilience ?pool ?store Metrics.zero prog
+let prepare ?resilience ?pool prog =
+  prepare_with ?resilience ?pool Metrics.zero prog
 
-let prepare_source ?pool ?store ?(file = "<string>") src =
+let prepare_source ?pool ?(file = "<string>") src =
   let prog, fm =
     Metrics.measure (fun () ->
         Obs.span "lower"
           ~attrs:[ ("file", file) ]
           (fun () -> Pinpoint_frontend.Lower.compile_string ~file src))
   in
-  prepare_with ?pool ?store fm prog
+  prepare_with ?pool fm prog
 
-let prepare_file ?pool ?store path =
+let prepare_file ?pool path =
   let prog, fm =
     Metrics.measure (fun () ->
         Obs.span "lower"
           ~attrs:[ ("file", path) ]
           (fun () -> Pinpoint_frontend.Lower.compile_file path))
   in
-  prepare_with ?pool ?store fm prog
+  prepare_with ?pool fm prog
 
-let prepare_files ?pool ?store paths =
+let prepare_files ?pool paths =
   let prog, fm =
     Metrics.measure (fun () ->
         Obs.span "lower"
           ~attrs:[ ("files", string_of_int (List.length paths)) ]
           (fun () -> Pinpoint_frontend.Lower.compile_files paths))
   in
-  prepare_with ?pool ?store fm prog
+  prepare_with ?pool fm prog
 
 let seg_size t =
-  match t.store with
-  | Some st -> Store.seg_sizes st
-  | None ->
-    Hashtbl.fold
-      (fun _ seg (v, e) -> (v + Seg.n_vertices seg, e + Seg.n_edges seg))
-      t.segs (0, 0)
+  Hashtbl.fold
+    (fun _ seg (v, e) -> (v + Seg.n_vertices seg, e + Seg.n_edges seg))
+    t.segs (0, 0)
 
 module Vf = Pinpoint_summary.Vf
 
 (* One VF pass for [specs] (the requesting checker first) behind one
-   barrier and span.  The tables are kept resident and, in store mode
-   before sealing, persisted per checker name.  On a crash nothing is
+   barrier and span.  The tables are kept resident.  On a crash nothing is
    kept: each later check of the class retries, and falls back like the
    engine does if it fails too. *)
 let generate_class t (specs : Checker_spec.t list) =
@@ -313,11 +266,7 @@ let generate_class t (specs : Checker_spec.t list) =
   Option.iter
     (List.iter2
        (fun (spec : Checker_spec.t) vf ->
-         Hashtbl.replace t.checks.vfs spec.Checker_spec.name (spec, vf);
-         match t.store with
-         | Some st when not (Store.is_sealed st) ->
-           Store.put_vf st spec.Checker_spec.name vf
-         | _ -> ())
+         Hashtbl.replace t.checks.vfs spec.Checker_spec.name (spec, vf))
        specs)
     tables
 
@@ -328,35 +277,18 @@ let resident_vf t (spec : Checker_spec.t) =
   | Some (s, vf) when s == spec -> Some vf
   | _ -> None
 
-let stored_vf t (spec : Checker_spec.t) =
-  Option.bind t.store (fun st -> Store.vf_of st spec.Checker_spec.name)
-
-(* The checker's VF table: resident, faulted from the store, or built
-   with the rest of its class — the built-in checkers of the same class
-   that have no table yet. *)
+(* The checker's VF table: resident, or built with the rest of its
+   class — the built-in checkers of the same class that have no table
+   yet. *)
 let vf_for t (spec : Checker_spec.t) =
   match resident_vf t spec with
   | Some _ as r -> r
-  | None -> (
-    match stored_vf t spec with
-    | Some _ as r -> r
-    | None ->
-      let others =
-        List.filter
-          (fun c -> resident_vf t c = None && stored_vf t c = None)
-          (Checkers.class_mates spec)
-      in
-      generate_class t (spec :: others);
-      resident_vf t spec)
-
-let seal_store t specs =
-  match t.store with
-  | None -> ()
-  | Some st ->
-    (match List.filter (fun s -> stored_vf t s = None) specs with
-    | [] -> ()
-    | missing -> generate_class t missing);
-    Store.seal st
+  | None ->
+    let others =
+      List.filter (fun c -> resident_vf t c = None) (Checkers.class_mates spec)
+    in
+    generate_class t (spec :: others);
+    resident_vf t spec
 
 let callers t =
   match t.checks.callers with

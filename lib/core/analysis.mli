@@ -33,16 +33,10 @@ type t = {
   pool : Pinpoint_par.Pool.t option;
       (** the worker pool the preparation phases ran on, if any; [check]
           reuses it for its per-source fan-out *)
-  store : Pinpoint_store.Store.t option;
-      (** disk-resident artifact store (DESIGN.md §4.14); when present
-          [segs] stays empty and {!seg_of} faults SEGs back in through
-          the store's LRU *)
   checks : checks;
 }
 
 val seg_of : t -> string -> Pinpoint_seg.Seg.t option
-
-val store : t -> Pinpoint_store.Store.t option
 
 val incidents : t -> Pinpoint_util.Resilience.incident list
 (** Incidents accumulated so far, oldest first. *)
@@ -58,10 +52,24 @@ val build_seg :
     analysis server's partial rebuilds (DESIGN.md §4.13) so incremental
     SEG construction shares the batch pipeline's fault envelope. *)
 
+val build_segs :
+  ?pool:Pinpoint_par.Pool.t ->
+  Pinpoint_util.Resilience.log ->
+  (string, Pinpoint_pta.Pta.t) Hashtbl.t ->
+  Pinpoint_ir.Func.t array ->
+  (string, Pinpoint_seg.Seg.t) Hashtbl.t ->
+  unit
+(** [build_segs log ptas funcs segs] builds, with {!build_seg}, the SEG
+    of every function in [funcs] that has a points-to result in [ptas],
+    and stores it in [segs].  Functions without a result, or whose build
+    fails, get no SEG.  With [pool] (and more than one job) the builds
+    fan out in statement-weighted chunks.  [segs] comes out identical at
+    any job count.  {!prepare} and the analysis server's partial
+    rebuilds share it. *)
+
 val prepare :
   ?resilience:Pinpoint_util.Resilience.log ->
   ?pool:Pinpoint_par.Pool.t ->
-  ?store:Pinpoint_store.Store.t ->
   Pinpoint_ir.Prog.t ->
   t
 (** Run every phase up to (and including) summary generation on an
@@ -72,28 +80,20 @@ val prepare :
     pointed at this analysis's {!t.resilience}.  With [resilience] the
     given log is used instead of a fresh one — the analysis server passes
     its long-lived capacity-capped log so incidents from successive
-    (re)builds accumulate in one place.
-
-    With [store] the preparation phases spill every per-function artifact
-    (PTA, SEG, RV summary) to the store as it is produced instead of
-    keeping it resident, bounding peak heap to the store's LRU plus the
-    IR; preparation is sequential ([pool] still accelerates {!check}).
-    Reports are byte-identical to a store-off run. *)
+    (re)builds accumulate in one place.  Every per-function artifact
+    (PTA, SEG, RV summary) stays resident. *)
 
 val prepare_source :
   ?pool:Pinpoint_par.Pool.t ->
-  ?store:Pinpoint_store.Store.t ->
   ?file:string ->
   string ->
   t
 (** Parse, compile and prepare MC source text. *)
 
-val prepare_file :
-  ?pool:Pinpoint_par.Pool.t -> ?store:Pinpoint_store.Store.t -> string -> t
+val prepare_file : ?pool:Pinpoint_par.Pool.t -> string -> t
 
 val prepare_files :
   ?pool:Pinpoint_par.Pool.t ->
-  ?store:Pinpoint_store.Store.t ->
   string list ->
   t
 (** Parse, compile and prepare the concatenation of several MC files (in
@@ -103,26 +103,17 @@ val prepare_files :
 val seg_size : t -> int * int
 (** Total (vertices, edges) over all SEGs — the Figure 7/8 size metric. *)
 
-val seal_store : t -> Checker_spec.t list -> unit
-(** Store mode only (no-op otherwise): generate and persist the VF
-    summary table for each given checker — all from one pass, stored per
-    checker name — then seal the store — index,
-    checksummed trailer, rename to the epoch file — switching reads to
-    the mmap path.  Later {!check} calls fault their VF tables back from
-    the sealed blob instead of regenerating them. *)
-
 val check :
   ?config:Engine.config -> t -> Checker_spec.t -> Report.t list * Engine.stats
 (** Run one checker.  Its VF summary table comes from an earlier check
-    of its value-flow class (checkers that agree on [follow_operands]),
-    from the store, or from one new pass that builds the tables of the
+    of its value-flow class (checkers that agree on [follow_operands])
+    or from one new pass that builds the tables of the
     whole class: the checker and every built-in checker of the class
     still without one.  The first check also builds the reverse call
     index every later check reuses.  Each pass adds to the
-    [phase.vf_summary.wall_s] / [.alloc_bytes] gauges.  In store mode new
-    tables are persisted until the store is sealed.  On a generation
+    [phase.vf_summary.wall_s] / [.alloc_bytes] gauges.  On a generation
     crash the engine's fallback is mirrored — empty table, VF pruning
-    disabled — so reports match a store-off run. *)
+    disabled. *)
 
 val check_all :
   ?config:Engine.config ->

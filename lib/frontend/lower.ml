@@ -406,72 +406,42 @@ let lower_fdecl ?(groups = Hashtbl.create 0) sigs (fd : Ast.fdecl) : Func.t =
   Gating.run f;
   f
 
-let func_sigs (p : Ast.program) =
+(* The one compile path.  [iter] replays the program's function
+   declarations in order, once per pass: the first pass collects the
+   whole-program tables — signatures (forward calls) and method groups
+   (vcall lowering) — the second lowers.  Over parser streams neither
+   pass holds more than one function's AST (see {!Parser.iter_fdecls}),
+   so peak heap holds the token buffers and the growing IR, never the
+   whole-program AST, which rivals the IR for size at MLoC scale. *)
+let tables iter =
   let sigs : (string, Ty_sig.t) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun (fd : Ast.fdecl) ->
-      Hashtbl.replace sigs fd.Ast.fname
-        {
-          Ty_sig.ret = fd.Ast.ret;
-          params = Some (List.map fst fd.Ast.params);
-        })
-    p.Ast.funcs;
-  sigs
-
-let method_groups (p : Ast.program) =
   let groups : (string, string list) Hashtbl.t = Hashtbl.create 8 in
-  List.iter
-    (fun (fd : Ast.fdecl) ->
+  iter (fun (fd : Ast.fdecl) ->
+      Hashtbl.replace sigs fd.Ast.fname
+        { Ty_sig.ret = fd.Ast.ret; params = Some (List.map fst fd.Ast.params) };
       match fd.Ast.group with
       | Some g ->
+        (* Members accumulate reversed, flipped once below. *)
         let cur = Option.value (Hashtbl.find_opt groups g) ~default:[] in
-        Hashtbl.replace groups g (cur @ [ fd.Ast.fname ])
-      | None -> ())
-    p.Ast.funcs;
-  groups
+        Hashtbl.replace groups g (fd.Ast.fname :: cur)
+      | None -> ());
+  Hashtbl.filter_map_inplace (fun _ members -> Some (List.rev members)) groups;
+  (sigs, groups)
 
-let compile (p : Ast.program) : Prog.t =
-  let sigs = func_sigs p in
-  let groups = method_groups p in
+let compile_iter iter =
+  let sigs, groups = tables iter in
   let prog = Prog.create () in
-  List.iter
-    (fun (fd : Ast.fdecl) ->
-      let f = lower_fdecl ~groups sigs fd in
-      Prog.add prog ~unit_name:fd.Ast.unit_name f)
-    p.Ast.funcs;
+  iter (fun (fd : Ast.fdecl) ->
+      Prog.add prog ~unit_name:fd.Ast.unit_name (lower_fdecl ~groups sigs fd));
   prog
 
-(* Streaming compilation: tokenize each source once, parse twice.  The
-   first pass collects signatures and method groups (forward calls and
-   vcall lowering need the whole program's), the second lowers; both
-   drop every function's AST as soon as it is consumed, so peak heap
-   holds the token buffers and the growing IR — never the whole-program
-   AST, which rivals the IR for size at MLoC scale. *)
+let iter_program (p : Ast.program) f = List.iter f p.Ast.funcs
+let func_sigs p = fst (tables (iter_program p))
+let method_groups p = snd (tables (iter_program p))
+let compile p = compile_iter (iter_program p)
+
 let compile_streams streams =
-  let sigs : (string, Ty_sig.t) Hashtbl.t = Hashtbl.create 64 in
-  let groups : (string, string list) Hashtbl.t = Hashtbl.create 8 in
-  List.iter
-    (fun stm ->
-      Parser.iter_fdecls stm (fun (fd : Ast.fdecl) ->
-          Hashtbl.replace sigs fd.Ast.fname
-            {
-              Ty_sig.ret = fd.Ast.ret;
-              params = Some (List.map fst fd.Ast.params);
-            };
-          match fd.Ast.group with
-          | Some g ->
-            let cur = Option.value (Hashtbl.find_opt groups g) ~default:[] in
-            Hashtbl.replace groups g (cur @ [ fd.Ast.fname ])
-          | None -> ()))
-    streams;
-  let prog = Prog.create () in
-  List.iter
-    (fun stm ->
-      Parser.iter_fdecls stm (fun (fd : Ast.fdecl) ->
-          let f = lower_fdecl ~groups sigs fd in
-          Prog.add prog ~unit_name:fd.Ast.unit_name f))
-    streams;
-  prog
+  compile_iter (fun f -> List.iter (fun stm -> Parser.iter_fdecls stm f) streams)
 
 let compile_string ?(file = "<string>") src =
   compile_streams [ Parser.stream ~file src ]

@@ -31,10 +31,15 @@ val lower_fdecl :
     into a guarded chain of direct calls over an opaque selector. *)
 
 val compile : Ast.program -> Pinpoint_ir.Prog.t
-(** Lower a whole program. *)
+(** Lower a whole program.  Same two passes as {!compile_string}: the
+    first over the declarations collects {!func_sigs} and
+    {!method_groups}, the second lowers each function in order. *)
 
 val compile_string : ?file:string -> string -> Pinpoint_ir.Prog.t
-(** Parse and compile MC source text. *)
+(** Parse and compile MC source text.  Tokenizes once and streams function
+    ASTs through both passes ({!Parser.iter_fdecls}); the whole-program
+    AST is never built.  Yields the same program as
+    [compile (Parser.parse_string src)]. *)
 
 val compile_file : string -> Pinpoint_ir.Prog.t
 

@@ -337,30 +337,6 @@ let func st : Ast.fdecl =
     group;
   }
 
-let program st : Ast.program =
-  let funcs = ref [] in
-  while peek_tok st <> EOF do
-    match peek_tok st with
-    | KW_UNIT -> (
-      advance st;
-      match peek_tok st with
-      | STRING s ->
-        advance st;
-        expect st SEMI "expected ';' after unit declaration";
-        st.unit_name <- s
-      | _ -> fail st "expected string after 'unit'")
-    | _ -> funcs := func st :: !funcs
-  done;
-  { Ast.funcs = List.rev !funcs }
-
-let parse_string ?(file = "<string>") src =
-  let toks =
-    try Lexer.tokenize ~file src
-    with Lexer.Error (msg, line) -> raise (Error (msg, line))
-  in
-  let st = { file; toks; pos = 0; unit_name = "main" } in
-  program st
-
 (* Streaming interface: tokenize once, replay the token buffer per pass.
    Each [iter_fdecls] hands function ASTs to the callback one at a time,
    so no pass ever materialises the whole program AST — at MLoC scale
@@ -390,6 +366,11 @@ let iter_fdecls (st : stream) f =
       | _ -> fail st "expected string after 'unit'")
     | _ -> f (func st)
   done
+
+let parse_string ?file src =
+  let funcs = ref [] in
+  iter_fdecls (stream ?file src) (fun fd -> funcs := fd :: !funcs);
+  { Ast.funcs = List.rev !funcs }
 
 let parse_file path =
   let ic = open_in_bin path in

@@ -254,51 +254,6 @@ let truncate t ~keep =
     lock = Mutex.create ();
   }
 
-(* Reassemble a SEG from stored parts (the artifact store's decode
-   path).  Adjacency lists and the use list carry the graph identity
-   and are taken verbatim — per-variable edge order is exactly what
-   [build] produced, which the DFS traversal order depends on.  The
-   purely derived members (CDG, def table, block map, symbol
-   registry, memo tables) are recomputed from the resident IR the same
-   way [build] computes them. *)
-let of_parts ~func:(f : Func.t) ~(pta : Pta.t) ~succs ~preds ~uses
-    ~n_control_edges : t =
-  let t =
-    {
-      func = f;
-      pta;
-      cdg = Cdg.compute f;
-      succ = Var.Tbl.create 64;
-      pred = Var.Tbl.create 64;
-      all_uses = uses;
-      use_tbl = Var.Tbl.create 64;
-      def_tbl = Func.def_table f;
-      block_of = Func.block_of_stmt f;
-      sym2var = Hashtbl.create 64;
-      dd_memo = Var.Tbl.create 64;
-      cd_block_memo = Hashtbl.create 16;
-      n_control_edges;
-      lock = Mutex.create ();
-    }
-  in
-  List.iter (register_sym t) f.Func.params;
-  List.iter (fun (i : Pta.incoming) -> register_sym t i.Pta.ivar) pta.Pta.incomings;
-  Func.iter_stmts f (fun _blk s ->
-      List.iter (register_sym t) (Stmt.def s);
-      List.iter (register_sym t) (Stmt.uses s));
-  List.iter (fun (src, es) -> Var.Tbl.replace t.succ src es) succs;
-  List.iter (fun (dst, es) -> Var.Tbl.replace t.pred dst es) preds;
-  List.iter
-    (fun u ->
-      let cur = Option.value (Var.Tbl.find_opt t.use_tbl u.uvar) ~default:[] in
-      Var.Tbl.replace t.use_tbl u.uvar (u :: cur))
-    t.all_uses;
-  t
-
-let fold_succs t ~init ~f = Var.Tbl.fold (fun v es acc -> f acc v es) t.succ init
-let fold_preds t ~init ~f = Var.Tbl.fold (fun v es acc -> f acc v es) t.pred init
-let n_control_edges t = t.n_control_edges
-
 let succs t v = Option.value (Var.Tbl.find_opt t.succ v) ~default:[]
 let preds t v = Option.value (Var.Tbl.find_opt t.pred v) ~default:[]
 let uses t = t.all_uses

@@ -68,31 +68,6 @@ val truncate : t -> keep:float -> t
     so truncation degrades recall, never soundness of the remaining
     reports. *)
 
-val of_parts :
-  func:Pinpoint_ir.Func.t ->
-  pta:Pinpoint_pta.Pta.t ->
-  succs:(Pinpoint_ir.Var.t * edge list) list ->
-  preds:(Pinpoint_ir.Var.t * edge list) list ->
-  uses:use list ->
-  n_control_edges:int ->
-  t
-(** Reassemble a SEG from stored parts (the artifact store's decode
-    path).  Adjacency lists and uses are taken verbatim — per-variable
-    edge order must be exactly what {!build} produced, since traversal
-    order follows it — while derived state (CDG, def table, symbol
-    registry, memos) is recomputed from the resident IR exactly as
-    {!build} computes it.  Feeding back {!fold_succs}/{!fold_preds}/
-    {!uses} of a built SEG yields an observably identical graph. *)
-
-val fold_succs :
-  t -> init:'a -> f:('a -> Pinpoint_ir.Var.t -> edge list -> 'a) -> 'a
-val fold_preds :
-  t -> init:'a -> f:('a -> Pinpoint_ir.Var.t -> edge list -> 'a) -> 'a
-(** Iterate the full adjacency tables (encode path of the store). *)
-
-val n_control_edges : t -> int
-(** The control-dependence edge count included in {!n_edges}. *)
-
 val succs : t -> Pinpoint_ir.Var.t -> edge list
 val preds : t -> Pinpoint_ir.Var.t -> edge list
 

@@ -33,17 +33,10 @@ module Seg = Pinpoint_seg.Seg
 module Transform = Pinpoint_transform.Transform
 module Rv = Pinpoint_summary.Rv
 module Vf = Pinpoint_summary.Vf
-module Store = Pinpoint_store.Store
-module Pool = Pinpoint_par.Pool
-module Chunk = Pinpoint_par.Chunk
 
 type state = {
   resilience : Resilience.log;
   pool : Pinpoint_par.Pool.t option;
-  store : Store.t option;
-      (** disk-resident artifact store: per-function PTAs, SEGs and RV
-          summaries live here instead of the resident tables; never
-          sealed while serving, so incremental updates keep appending *)
   mutable files : (string * string) list;  (** (name, contents), load order *)
   mutable file_fdecls : (string * Ast.fdecl list) list;  (** same order *)
   mutable digests : (string, Digest.t) Hashtbl.t;  (** fname -> body digest *)
@@ -77,10 +70,7 @@ let files st = st.files
 let resilience st = st.resilience
 let n_functions st = List.length (Prog.functions st.prog)
 
-let seg_of st =
-  match st.store with
-  | Some store -> Store.seg_of store
-  | None -> Hashtbl.find_opt st.segs
+let seg_of st = Hashtbl.find_opt st.segs
 
 (* ---------- hashing ---------- *)
 
@@ -123,20 +113,8 @@ let digest_table fdecls =
 let full_build st =
   let fdecls = all_fdecls st in
   let prog = Lower.compile { Ast.funcs = fdecls } in
-  (* Store mode: the previous program's artifacts are stale (functions
-     were re-lowered, so their variables are fresh objects) — drop them
-     before the rebuild re-spills everything.  Dead blob bytes are not
-     reclaimed; RSS shedding, not disk, is the server's bound. *)
-  Option.iter
-    (fun store ->
-      List.iter
-        (fun (f : Func.t) -> Store.remove_fn store f.Func.fname)
-        (Prog.functions st.prog);
-      Store.drop_resident store)
-    st.store;
   let a =
-    Pinpoint.Analysis.prepare ~resilience:st.resilience ?pool:st.pool
-      ?store:st.store prog
+    Pinpoint.Analysis.prepare ~resilience:st.resilience ?pool:st.pool prog
   in
   st.prog <- a.Pinpoint.Analysis.prog;
   st.transform <- a.Pinpoint.Analysis.transform;
@@ -147,7 +125,7 @@ let full_build st =
   st.digests <- digest_table fdecls;
   st.structure <- structure_digest fdecls
 
-let load ?incident_cap ?pool ?store (files : (string * string) list) : state =
+let load ?incident_cap ?pool (files : (string * string) list) : state =
   let resilience =
     match incident_cap with
     | Some c -> Resilience.create ~capacity:c ()
@@ -158,7 +136,6 @@ let load ?incident_cap ?pool ?store (files : (string * string) list) : state =
     {
       resilience;
       pool;
-      store;
       files;
       file_fdecls;
       digests = Hashtbl.create 64;
@@ -312,75 +289,20 @@ let update_impl (st : state) (changed : (string * string) list) : update_stats
         (fun name () ->
           Transform.remove st.transform name;
           Hashtbl.remove st.segs name;
-          Option.iter (fun store -> Store.remove_fn store name) st.store;
           Rv.remove st.rv name)
         dirty_tbl;
       (* … and reprocess the dirty SCCs bottom-up against the retained
-         clean tables, mirroring the batch phase order.  Store mode: the
-         dirty functions' fresh variables were registered by re-lowering;
-         their PTAs stream back to the store and SEGs are spilled as
-         rebuilt, just like batch prepare. *)
-      (match st.store with
-      | Some store ->
-        List.iter
-          (fun (f : Func.t) -> if dirty f.Func.fname then Store.register_fn store f)
-          (Prog.functions st.prog);
-        Transform.update ~resilience:st.resilience
-          ~pta_sink:(Store.put_pta store) st.transform st.prog ~dirty
-      | None ->
-        Transform.update ~resilience:st.resilience ?pool:st.pool st.transform
-          st.prog ~dirty);
+         clean tables, mirroring the batch phase order. *)
+      Transform.update ~resilience:st.resilience ?pool:st.pool st.transform
+        st.prog ~dirty;
       let dirty_funcs =
         List.filter (fun (f : Func.t) -> dirty f.Func.fname)
           (Prog.functions st.prog)
       in
       List.iter force_symbols_of dirty_funcs;
       Seg.reserve_addresses dirty_funcs;
-      (* Rebuild the dirty SEGs, mirroring batch prepare: streaming in
-         store mode (artifact puts are sequential), chunked over the pool
-         otherwise — builds are per-function pure, the table writes below
-         happen positionally on this thread, so results are identical at
-         any [--jobs]. *)
-      (match st.store with
-      | Some store ->
-        List.iter
-          (fun (f : Func.t) ->
-            match Store.pta_of store f.Func.fname with
-            | Some pta -> (
-              match Pinpoint.Analysis.build_seg st.resilience f pta with
-              | Some seg -> Store.put_seg store f.Func.fname seg
-              | None -> ())
-            | None -> ())
-          dirty_funcs
-      | None ->
-        let dirty_arr = Array.of_list dirty_funcs in
-        let build (f : Func.t) =
-          match Hashtbl.find_opt st.transform.Transform.ptas f.Func.fname with
-          | Some pta -> Pinpoint.Analysis.build_seg st.resilience f pta
-          | None -> None
-        in
-        let built =
-          match st.pool with
-          | Some p when Pool.jobs p > 1 ->
-            let weights =
-              Array.map
-                (fun (f : Func.t) ->
-                  let n = ref 0 in
-                  Func.iter_blocks f (fun blk ->
-                      n := !n + List.length blk.Func.stmts);
-                  !n)
-                dirty_arr
-            in
-            Chunk.parallel_map ~weights p build dirty_arr
-          | _ -> Array.map (fun f -> Some (build f)) dirty_arr
-        in
-        Array.iteri
-          (fun i r ->
-            match r with
-            | Some (Some seg) ->
-              Hashtbl.replace st.segs dirty_arr.(i).Func.fname seg
-            | _ -> ())
-          built);
+      Pinpoint.Analysis.build_segs ?pool:st.pool st.resilience
+        st.transform.Transform.ptas (Array.of_list dirty_funcs) st.segs;
       Rv.update ~resilience:st.resilience st.rv st.prog ~dirty;
       let seg_of = seg_of st in
       (* A crash while refreshing the resident VF tables drops them; the

@@ -36,17 +36,12 @@ type update_stats = {
 val load :
   ?incident_cap:int ->
   ?pool:Pinpoint_par.Pool.t ->
-  ?store:Pinpoint_store.Store.t ->
   (string * string) list ->
   state
 (** [load files] parses, compiles and fully prepares [(name, contents)]
     pairs as one program (the batch pipeline, {!Pinpoint.Analysis.prepare}).
     [incident_cap] bounds the retained incident log
-    ({!Pinpoint_util.Resilience.create}).  With [store] per-function
-    artifacts (PTAs, SEGs, RV summaries) live in the disk-resident
-    artifact store instead of the resident tables; updates drop the
-    dirty functions' artifacts and re-spill them, and the store is never
-    sealed while serving.  Raises
+    ({!Pinpoint_util.Resilience.create}).  Raises
     {!Pinpoint_frontend.Parser.Error} / {!Pinpoint_frontend.Lower.Error}
     on malformed input. *)
 

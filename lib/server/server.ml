@@ -37,9 +37,6 @@ type config = {
   solver_budget_s : float;
   solver_conflicts : int;
   pool : Pinpoint_par.Pool.t option;
-  store : Pinpoint_store.Store.t option;
-      (** artifact store for the resident subject; kept unsealed so
-          incremental updates can keep appending *)
   prom_file : string option;
       (** Prometheus text exposition refreshed here on the request-time
           timer (at most every [prom_every_s]) *)
@@ -64,7 +61,6 @@ let default_config =
     solver_budget_s = infinity;
     solver_conflicts = Pinpoint_smt.Sat.default_budget;
     pool = None;
-    store = None;
     prom_file = None;
     prom_every_s = 5.0;
     flight_file = "flight.json";
@@ -244,8 +240,7 @@ let create ?(config = default_config) () =
 
 let load_files t files =
   let st =
-    Incr.load ~incident_cap:t.cfg.incident_cap ?pool:t.cfg.pool
-      ?store:t.cfg.store files
+    Incr.load ~incident_cap:t.cfg.incident_cap ?pool:t.cfg.pool files
   in
   t.st <- Some st;
   t.epoch_base <- 0;
@@ -276,8 +271,7 @@ let recover t =
             (Option.bind (Json.member "epoch" snap) Json.int_opt)
         in
         let st =
-          Incr.load ~incident_cap:t.cfg.incident_cap ?pool:t.cfg.pool
-            ?store:t.cfg.store files
+          Incr.load ~incident_cap:t.cfg.incident_cap ?pool:t.cfg.pool files
         in
         t.st <- Some st;
         t.epoch_base <- epoch;
@@ -378,14 +372,12 @@ let solver_hit_rate t =
   if total = 0 then 0.0 else float_of_int t.rungs.cached /. float_of_int total
 
 (* Force-publish every registry contributor so the gauges and the
-   par.* / store.* counters a status/metrics reader sees are fresh at
-   read time rather than stale-from-last-export.  Pool and store publish
-   deltas, so repeated refreshes keep the registry equal to lifetime
-   totals. *)
+   par.* counters a status/metrics reader sees are fresh at read time
+   rather than stale-from-last-export.  The pool publishes deltas, so
+   repeated refreshes keep the registry equal to lifetime totals. *)
 let refresh_obs t =
   if Obs.metrics_on () then begin
     Option.iter Pinpoint_par.Pool.publish_obs t.cfg.pool;
-    Option.iter Pinpoint_store.Store.publish_obs t.cfg.store;
     Obs.set_gauge (Obs.gauge "server.uptime_s") (Metrics.now () -. t.started_at);
     Obs.set_gauge (Obs.gauge "server.rss_mb") (rss_mb ());
     Obs.set_gauge (Obs.gauge "server.requests") (float_of_int t.n_requests);

@@ -20,9 +20,6 @@ type config = {
   solver_budget_s : float;
   solver_conflicts : int;
   pool : Pinpoint_par.Pool.t option;
-  store : Pinpoint_store.Store.t option;
-      (** artifact store for the resident subject (DESIGN.md §4.14);
-          kept unsealed so incremental updates can keep appending *)
   prom_file : string option;
       (** Prometheus text exposition written here at request-processing
           time, at most every [prom_every_s] seconds *)

@@ -85,9 +85,11 @@ let skey_of = function
    memo keys — never for structure (see [skey_of] above).
 
    The table holds its elements weakly: a formula nothing else references
-   — e.g. one whose owning artifacts were all evicted by the disk-resident
-   store — is collected, and a later re-intern of the same structure
-   builds a fresh, structurally identical node.  Equality and hashing go
+   — e.g. one that belonged only to functions the analysis server has
+   since re-lowered, dropping their SEGs and summaries — is collected, and
+   a later re-intern of the same structure builds a fresh, structurally
+   identical node.  A long-running server thus does not accumulate the
+   formulas of superseded function bodies.  Equality and hashing go
    through [key_of], which identifies children by id, so only candidates
    whose children are already canonical can merge (the hash-consing
    invariant), and both are stable for as long as an element is alive
@@ -112,13 +114,6 @@ let make node =
       if e == candidate then incr counter;
       e)
 
-(* Raw interning entry for deserializers: a [node] whose children are
-   already interned re-enters the hash-cons table and comes back as
-   *the* canonical expression — physically equal to the original when
-   it still exists.  Callers must respect the commutative-ordering
-   invariant themselves (store nodes that were built by the smart
-   constructors already do). *)
-let of_node = make
 let n_created () = !counter
 let tru = make True
 let fls = make False

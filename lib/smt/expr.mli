@@ -81,13 +81,6 @@ val mul : t -> t -> t
 val neg : t -> t
 val bool : bool -> t
 
-val of_node : node -> t
-(** Intern a raw node whose children are already interned expressions.
-    Returns the canonical (hash-consed) expression for that node —
-    physically equal to any previously built identical expression.  For
-    deserializers rebuilding stored formulas bottom-up; does {e not}
-    re-canonicalise commutative operand order, so only feed it nodes
-    that were produced by the smart constructors in the first place. *)
 
 val is_true : t -> bool
 val is_false : t -> bool

@@ -4,36 +4,15 @@ module Seg = Pinpoint_seg.Seg
 
 type entry = { var : Var.t; closed : E.t; params : Var.Set.t }
 
-(* A disk-resident home for summaries (the artifact store): [persist]
-   replaces the in-heap table as the put target and [fetch] as the read
-   path (the backend does its own caching/LRU).  Entries round-trip
-   through the store codec, which reproduces hash-consed formulas and
-   resident [Var.t]s exactly, so a backend-served summary closes
-   constraints identically to a resident one. *)
-type backend = {
-  persist : string -> entry option array -> unit;
-  fetch : string -> entry option array option;
-  forget : string -> unit;
-}
-
 type t = {
   tbl : (string, entry option array) Hashtbl.t;
   seg_of : string -> Seg.t option;
-  backend : backend option;
 }
 
 let max_close_depth = ref 6
 let max_summary_size = ref 4000
 
-let find t name =
-  match Hashtbl.find_opt t.tbl name with
-  | Some _ as r -> r
-  | None -> ( match t.backend with Some b -> b.fetch name | None -> None)
-
-let put_entry t name entries =
-  match t.backend with
-  | Some b -> b.persist name entries
-  | None -> Hashtbl.replace t.tbl name entries
+let find t name = Hashtbl.find_opt t.tbl name
 
 (* Close a constraint: resolve its receiver dependences with callee RV
    summaries, cloning callee symbols and binding callee formals to actual
@@ -135,16 +114,10 @@ let process_scc ?resilience t ~lookup ~put (scc : Func.t list) =
         Option.iter (put f.Func.fname) entries)
     scc
 
-let generate ?resilience ?pool ?backend (prog : Prog.t)
+let generate ?resilience ?pool (prog : Prog.t)
     (seg_of : string -> Seg.t option) : t =
-  let t = { tbl = Hashtbl.create 64; seg_of; backend } in
+  let t = { tbl = Hashtbl.create 64; seg_of } in
   (match pool with
-  | _ when backend <> None ->
-    (* Backend (store) mode is sequential by design: entries spill as
-       they are produced, so there is no shared table to overlay. *)
-    List.iter
-      (process_scc ?resilience t ~lookup:(find t) ~put:(put_entry t))
-      (Prog.bottom_up_sccs prog)
   | Some pool when Pinpoint_par.Pool.jobs pool > 1 ->
     (* Batched SCC wave (DESIGN.md §4.15): simultaneously-ready components
        are mutually independent, so one task processes a whole batch
@@ -192,9 +165,7 @@ let generate ?resilience ?pool ?backend (prog : Prog.t)
    so a clean function's summary — which depends only on its own SEG and
    its callees' summaries — is exactly what a full regenerate would
    produce, by induction over the bottom-up order. *)
-let remove (t : t) name =
-  Hashtbl.remove t.tbl name;
-  match t.backend with Some b -> b.forget name | None -> ()
+let remove (t : t) name = Hashtbl.remove t.tbl name
 
 let update ?resilience (t : t) (prog : Prog.t) ~(dirty : string -> bool) =
   List.iter
@@ -203,7 +174,8 @@ let update ?resilience (t : t) (prog : Prog.t) ~(dirty : string -> bool) =
   List.iter
     (fun scc ->
       if List.exists (fun (f : Func.t) -> dirty f.Func.fname) scc then
-        process_scc ?resilience t ~lookup:(find t) ~put:(put_entry t) scc)
+        process_scc ?resilience t ~lookup:(find t)
+          ~put:(Hashtbl.replace t.tbl) scc)
     (Prog.bottom_up_sccs prog)
 
 let pp ppf t =

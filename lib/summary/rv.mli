@@ -20,17 +20,6 @@ type entry = {
 
 type t
 
-(** A disk-resident home for summaries (the artifact store).  With a
-    backend installed, generated entries go to [persist] instead of the
-    in-heap table and reads fall back to [fetch] (the backend does its
-    own decode caching), so resident memory stays bounded by the
-    backend's LRU rather than the program's function count. *)
-type backend = {
-  persist : string -> entry option array -> unit;
-  fetch : string -> entry option array option;
-  forget : string -> unit;
-}
-
 val max_close_depth : int ref
 (** Call-chain depth budget when closing constraints (default 6 — the
     paper's "six levels of calls"). *)
@@ -42,7 +31,6 @@ val max_summary_size : int ref
 val generate :
   ?resilience:Pinpoint_util.Resilience.log ->
   ?pool:Pinpoint_par.Pool.t ->
-  ?backend:backend ->
   Pinpoint_ir.Prog.t ->
   (string -> Pinpoint_seg.Seg.t option) ->
   t
@@ -52,9 +40,7 @@ val generate :
     without a summary — its receivers stay unconstrained (soundy) —
     instead of aborting the phase.  With [pool] (and more than one job)
     call-graph SCCs are processed as a bottom-up wave on the pool,
-    producing the same summaries as the sequential order.  With
-    [backend] the generation runs sequentially (entries spill as they
-    are produced) and [pool] is ignored. *)
+    producing the same summaries as the sequential order. *)
 
 val update :
   ?resilience:Pinpoint_util.Resilience.log ->

@@ -78,9 +78,9 @@ val update_all :
 val find : t -> string -> fsum option
 
 val fold : t -> init:'a -> f:('a -> string -> fsum -> 'a) -> 'a
-(** Iterate all entries (the artifact store's encode path). *)
+(** Iterate all entries. *)
 
 val add : t -> string -> fsum -> unit
-(** Insert one entry (the artifact store's decode path). *)
+(** Insert one entry. *)
 
 val pp : Format.formatter -> t -> unit

@@ -322,22 +322,10 @@ let run_batched ?resilience pool (prog : Prog.t)
             put_ptas !batch_ptas)
       end)
 
-let run ?resilience ?pool ?pta_sink (prog : Prog.t) : result =
+let run ?resilience ?pool (prog : Prog.t) : result =
   let ifaces : (string, iface) Hashtbl.t = Hashtbl.create 64 in
   let ptas : (string, Pta.t) Hashtbl.t = Hashtbl.create 64 in
   (match pool with
-  | _ when pta_sink <> None ->
-    (* Spill mode (the artifact store): points-to results stream to the
-       sink as each SCC finishes instead of accumulating in [ptas], so
-       resident memory is one SCC's worth.  Sequential by design. *)
-    let sink = Option.get pta_sink in
-    List.iter
-      (process_scc ?resilience
-         ~iface_of:(Hashtbl.find_opt ifaces)
-         ~put_iface:(Hashtbl.replace ifaces)
-         ~flush_ifaces:(fun () -> ())
-         ~put_pta:sink)
-      (Prog.bottom_up_sccs prog)
   | Some pool when Pinpoint_par.Pool.jobs pool > 1 ->
     (* SCC-wave parallel path: a component starts once all its callee
        components are done, so every cross-SCC [iface_of] lookup finds
@@ -364,7 +352,7 @@ let run ?resilience ?pool ?pta_sink (prog : Prog.t) : result =
    does in a from-scratch bottom-up run — with that, induction over the
    bottom-up SCC order gives interfaces and points-to results identical to
    a full [run] on the same program. *)
-let update ?resilience ?pool ?pta_sink (t : result) (prog : Prog.t)
+let update ?resilience ?pool (t : result) (prog : Prog.t)
     ~(dirty : string -> bool) =
   let stale name =
     if dirty name then begin
@@ -374,21 +362,15 @@ let update ?resilience ?pool ?pta_sink (t : result) (prog : Prog.t)
   in
   List.iter (fun (f : Func.t) -> stale f.Func.fname) (Prog.functions prog);
   match pool with
-  | Some pool when pta_sink = None && Pinpoint_par.Pool.jobs pool > 1 ->
+  | Some pool when Pinpoint_par.Pool.jobs pool > 1 ->
     (* Same batched wave as [run], skipping clean components (their
-       interfaces are retained in [t.ifaces] and visible to the prefetch).
-       Store mode keeps the sequential spill path below. *)
+       interfaces are retained in [t.ifaces] and visible to the prefetch). *)
     run_batched ?resilience pool prog ~ifaces:t.ifaces
       ~put_ptas:
         (List.iter (fun (name, pta) -> Hashtbl.replace t.ptas name pta))
       ~skip:(fun scc ->
         not (List.exists (fun (f : Func.t) -> dirty f.Func.fname) scc))
   | _ ->
-    let put_pta =
-      match pta_sink with
-      | Some sink -> sink
-      | None -> Hashtbl.replace t.ptas
-    in
     List.iter
       (fun scc ->
         if List.exists (fun (f : Func.t) -> dirty f.Func.fname) scc then
@@ -396,7 +378,7 @@ let update ?resilience ?pool ?pta_sink (t : result) (prog : Prog.t)
             ~iface_of:(Hashtbl.find_opt t.ifaces)
             ~put_iface:(Hashtbl.replace t.ifaces)
             ~flush_ifaces:(fun () -> ())
-            ~put_pta
+            ~put_pta:(Hashtbl.replace t.ptas)
             scc)
       (Prog.bottom_up_sccs prog)
 

@@ -45,7 +45,6 @@ val max_conduits : int ref
 val run :
   ?resilience:Pinpoint_util.Resilience.log ->
   ?pool:Pinpoint_par.Pool.t ->
-  ?pta_sink:(string -> Pinpoint_pta.Pta.t -> unit) ->
   Pinpoint_ir.Prog.t ->
   result
 (** Transform the whole program in place and return the interface and
@@ -57,18 +56,11 @@ val run :
     With [pool] (and more than one job) call-graph SCCs are processed as a
     bottom-up wave on the pool — a component starts once its callee
     components are done, so the result is identical to the sequential
-    order.
-
-    With [pta_sink] (the artifact store's spill mode) points-to results
-    stream to the sink as each SCC finishes and [result.ptas] stays
-    empty, bounding resident memory to one SCC; the run is sequential
-    and [pool] is ignored.  Everything else — ids, symbols, formulas —
-    is produced in the same order as the sequential path. *)
+    order. *)
 
 val update :
   ?resilience:Pinpoint_util.Resilience.log ->
   ?pool:Pinpoint_par.Pool.t ->
-  ?pta_sink:(string -> Pinpoint_pta.Pta.t -> unit) ->
   result ->
   Pinpoint_ir.Prog.t ->
   dirty:(string -> bool) ->
@@ -83,9 +75,7 @@ val update :
     from-scratch {!run} on the same program.  Sequential by default (cones
     are small); with [pool] (and more than one job) the dirty components
     run as the same batched bottom-up wave as {!run}, clean components
-    untouched.  With [pta_sink] fresh points-to results go to the sink
-    instead of [result.ptas] (store mode, as in {!run}; the run is then
-    sequential and [pool] is ignored). *)
+    untouched. *)
 
 val remove : result -> string -> unit
 (** Forget one function's interface and points-to entries (deleted

@@ -23,5 +23,4 @@ let () =
       ("par", Test_par.suite);
       ("obs", Test_obs.suite);
       ("server", Test_server.suite);
-      ("store", Test_store.suite);
     ]

@@ -103,6 +103,75 @@ let test_roundtrip () =
   let c1 = Lower.compile p1 and c2 = Lower.compile p2 in
   Alcotest.(check int) "same stmt count" (Prog.n_stmts c1) (Prog.n_stmts c2)
 
+(* --- one compile path: whole AST vs streamed source --- *)
+
+(* Per function, in program order: name, unit, statement count and the
+   callees in statement order (vcall dispatch chains follow the method
+   group's member order). *)
+let compile_fingerprint prog =
+  List.map
+    (fun (f : Func.t) ->
+      let callees = ref [] in
+      Func.iter_stmts f (fun _ s ->
+          match s.Stmt.kind with
+          | Stmt.Call c -> callees := c.Stmt.callee :: !callees
+          | _ -> ());
+      ( f.Func.fname,
+        Prog.unit_name prog f.Func.fname,
+        Func.n_stmts f,
+        List.rev !callees ))
+    (Prog.functions prog)
+
+let check_compile_paths ~label src =
+  let ast = Parser.parse_string src in
+  let fp = compile_fingerprint in
+  if fp (Lower.compile ast) <> fp (Lower.compile_string src) then
+    Alcotest.failf "%s: whole-AST and streaming compiles differ" label;
+  (* Method groups list their members in declaration order. *)
+  let groups = Lower.method_groups ast in
+  let names =
+    List.sort_uniq compare
+      (List.filter_map (fun (fd : Ast.fdecl) -> fd.Ast.group) ast.Ast.funcs)
+  in
+  Alcotest.(check (list string))
+    (label ^ ": group names") names
+    (List.sort compare (List.of_seq (Hashtbl.to_seq_keys groups)));
+  List.iter
+    (fun g ->
+      Alcotest.(check (list string))
+        (label ^ ": group " ^ g)
+        (List.filter_map
+           (fun (fd : Ast.fdecl) ->
+             if fd.Ast.group = Some g then Some fd.Ast.fname else None)
+           ast.Ast.funcs)
+        (Hashtbl.find groups g))
+    names
+
+let test_compile_paths_agree () =
+  let dir = Test_corpus.corpus_dir () in
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".mc")
+  |> List.sort compare
+  |> List.iter (fun f ->
+         check_compile_paths ~label:f
+           (In_channel.with_open_bin (Filename.concat dir f)
+              In_channel.input_all));
+  (* A few thousand members in one group, spread over units, with a
+     dispatching caller in between (it dispatches over the small group:
+     a chain of thousands of guarded calls would only time the SSA). *)
+  let b = Buffer.create (1 lsl 16) in
+  for i = 0 to 2999 do
+    if i mod 700 = 0 then Printf.bprintf b "unit \"u%d\";\n" (i / 700);
+    Printf.bprintf b "method \"big\" int m%d(int x) { return x + %d; }\n" i i;
+    if i mod 1000 = 0 then
+      Printf.bprintf b "method \"small\" void s%d(int *p) { free(p); }\n" i;
+    if i = 1500 then
+      Buffer.add_string b
+        "int caller(int y) { int *p = malloc(); vcall \"small\"(p); \
+         return y; }\n"
+  done;
+  check_compile_paths ~label:"generated groups" (Buffer.contents b)
+
 (* --- lowering --- *)
 
 let test_lower_basic () =
@@ -230,6 +299,8 @@ let suite =
     Alcotest.test_case "parser units" `Quick test_parser_units;
     Alcotest.test_case "parser errors" `Quick test_parser_errors;
     Alcotest.test_case "pp/parse roundtrip" `Quick test_roundtrip;
+    Alcotest.test_case "compile: whole AST = streaming" `Quick
+      test_compile_paths_agree;
     Alcotest.test_case "lower basic" `Quick test_lower_basic;
     Alcotest.test_case "lower single exit" `Quick test_lower_single_exit;
     Alcotest.test_case "lower while unroll" `Quick test_lower_while_unroll;

@@ -502,6 +502,84 @@ let test_metrics_json_golden () =
       "p50"; "p95"; "p99";
     ]
 
+(* The metric name set of one sequential check, by kind.  Each fact has
+   one canonical name: adding, renaming or dropping a metric must show up
+   here as a diff. *)
+let golden_metric_names =
+  [
+    ("counter", "corecache.n_probe");
+    ("counter", "engine.n_candidates");
+    ("counter", "engine.n_incidents");
+    ("counter", "engine.n_prefix_checks");
+    ("counter", "engine.n_pruned_candidates");
+    ("counter", "engine.n_pruned_prefixes");
+    ("counter", "engine.n_refine_checks");
+    ("counter", "engine.n_refine_removed");
+    ("counter", "engine.n_rung_cached");
+    ("counter", "engine.n_rung_full");
+    ("counter", "engine.n_rung_gave_up");
+    ("counter", "engine.n_rung_halved");
+    ("counter", "engine.n_rung_linear");
+    ("counter", "engine.n_solver_calls");
+    ("counter", "engine.n_sources");
+    ("counter", "engine.n_steps");
+    ("counter", "qcache.n_insert");
+    ("counter", "qcache.n_probe");
+    ("counter", "solver.n_cache_hits");
+    ("counter", "solver.n_cache_misses");
+    ("counter", "solver.n_carry_seeded");
+    ("counter", "solver.n_carry_stored");
+    ("counter", "solver.n_conflicts");
+    ("counter", "solver.n_core_shrink_calls");
+    ("counter", "solver.n_deadline_abort");
+    ("counter", "solver.n_degraded");
+    ("counter", "solver.n_learned");
+    ("counter", "solver.n_ne_dropped");
+    ("counter", "solver.n_propagations");
+    ("counter", "solver.n_queries");
+    ("counter", "solver.n_restarts");
+    ("counter", "solver.n_sat");
+    ("counter", "solver.n_subsume_hits");
+    ("counter", "solver.n_theory_calls");
+    ("counter", "solver.n_unknown");
+    ("counter", "solver.n_unsat");
+    ("gauge", "corecache.entries");
+    ("gauge", "phase.frontend.alloc_bytes");
+    ("gauge", "phase.frontend.wall_s");
+    ("gauge", "phase.seg_build.alloc_bytes");
+    ("gauge", "phase.seg_build.wall_s");
+    ("gauge", "phase.summaries.alloc_bytes");
+    ("gauge", "phase.summaries.wall_s");
+    ("gauge", "phase.transform.alloc_bytes");
+    ("gauge", "phase.transform.wall_s");
+    ("gauge", "phase.vf_summary.alloc_bytes");
+    ("gauge", "phase.vf_summary.wall_s");
+    ("gauge", "qcache.capacity");
+    ("gauge", "qcache.entries");
+    ("gauge", "qcache.evictions");
+    ("gauge", "qcache.inserts");
+    ("gauge", "qcache.probes");
+    ("histogram", "smt.query.latency_s");
+  ]
+
+let test_metric_names_golden () =
+  with_level Obs.Metrics_only @@ fun () ->
+  let a = Pinpoint.Analysis.prepare_source ~file:"<obs-test>" uaf_src in
+  ignore (Pinpoint.Analysis.check a Pinpoint.Checkers.use_after_free);
+  let got =
+    List.map
+      (fun (name, v) ->
+        ( (match v with
+          | Obs.Snapshot.Counter _ -> "counter"
+          | Obs.Snapshot.Gauge _ -> "gauge"
+          | Obs.Snapshot.Histogram _ -> "histogram"),
+          name ))
+      (Obs.snapshot ())
+    |> List.sort compare
+  in
+  Alcotest.(check (list (pair string string)))
+    "metric names" golden_metric_names got
+
 (* --------------------------------------------------------------- *)
 (* Prometheus text exposition *)
 
@@ -731,6 +809,8 @@ let suite =
     Alcotest.test_case "histogram bucket edges" `Quick test_histogram_buckets;
     Alcotest.test_case "trace JSON golden" `Quick test_trace_json_golden;
     Alcotest.test_case "metrics JSON golden" `Quick test_metrics_json_golden;
+    Alcotest.test_case "metric name set golden" `Quick
+      test_metric_names_golden;
     Alcotest.test_case "Prometheus exposition golden" `Quick
       test_prometheus_golden;
     Alcotest.test_case "flight recorder" `Quick test_flight_recorder;

@@ -221,11 +221,7 @@ let differential ~label ~seed src =
   Test_corpus.with_test_pool @@ fun pool ->
   let a = Analysis.prepare_source ?pool ~file:label src in
   check_tables ~label ~seed a;
-  check_reports ~label a;
-  let store = Pinpoint_store.Store.create ~dir:(Test_store.tmp_dir ()) () in
-  Fun.protect ~finally:(fun () -> Pinpoint_store.Store.close store) @@ fun () ->
-  check_reports ~label:(label ^ " (store)")
-    (Analysis.prepare_source ?pool ~store ~file:label src)
+  check_reports ~label a
 
 let test_shared_vf_corpus () =
   let dir = Test_corpus.corpus_dir () in
