@@ -17,6 +17,7 @@ type checks = {
   vfs : (string, Checker_spec.t * Pinpoint_summary.Vf.t) Hashtbl.t;
   mutable callers : Engine.callers option;
   mutable vf_summary : Metrics.measurement;  (* summed over class passes *)
+  mutable engine : Metrics.measurement;  (* summed over checks *)
 }
 
 type t = {
@@ -133,6 +134,12 @@ let force_symbols (prog : Pinpoint_ir.Prog.t) =
             (Pinpoint_ir.Stmt.uses s)))
     (Pinpoint_ir.Prog.functions prog)
 
+(* Folds the worker domains' allocation into a phase measurement
+   ([Gc.allocated_bytes] is domain-local). *)
+let extra_alloc = function
+  | Some p -> fun () -> Pinpoint_par.Pool.allocated_bytes p
+  | None -> fun () -> 0.0
+
 let prepare_with ?resilience ?pool frontend_m (prog : Pinpoint_ir.Prog.t)
     : t =
   let resilience =
@@ -141,13 +148,7 @@ let prepare_with ?resilience ?pool frontend_m (prog : Pinpoint_ir.Prog.t)
   Option.iter
     (fun p -> Pinpoint_par.Pool.set_log p (Some resilience))
     pool;
-  (* Fold the worker domains' allocation into each phase measurement
-     ([Gc.allocated_bytes] is domain-local). *)
-  let extra_alloc =
-    match pool with
-    | Some p -> fun () -> Pinpoint_par.Pool.allocated_bytes p
-    | None -> fun () -> 0.0
-  in
+  let extra_alloc = extra_alloc pool in
   let transform, tm =
     Metrics.measure ~extra_alloc (fun () ->
         Obs.span "transform" (fun () ->
@@ -195,7 +196,12 @@ let prepare_with ?resilience ?pool frontend_m (prog : Pinpoint_ir.Prog.t)
     resilience;
     pool;
     checks =
-      { vfs = Hashtbl.create 8; callers = None; vf_summary = Metrics.zero };
+      {
+        vfs = Hashtbl.create 8;
+        callers = None;
+        vf_summary = Metrics.zero;
+        engine = Metrics.zero;
+      };
   }
 
 let prepare ?resilience ?pool prog =
@@ -235,6 +241,18 @@ let seg_size t =
 
 module Vf = Pinpoint_summary.Vf
 
+(* Add one pass to a phase's running total and publish the total as the
+   phase's gauges. *)
+let accumulate name total (m : Metrics.measurement) =
+  let acc = Metrics.add total m in
+  if Obs.metrics_on () then begin
+    Obs.set_gauge (Obs.gauge ("phase." ^ name ^ ".wall_s")) acc.Metrics.wall_s;
+    Obs.set_gauge
+      (Obs.gauge ("phase." ^ name ^ ".alloc_bytes"))
+      acc.Metrics.alloc_bytes
+  end;
+  acc
+
 (* One VF pass for [specs] (the requesting checker first) behind one
    barrier and span.  The tables are kept resident.  On a crash nothing is
    kept: each later check of the class retries, and falls back like the
@@ -255,14 +273,7 @@ let generate_class t (specs : Checker_spec.t list) =
                   (Vf.generate_all t.prog (seg_of t)
                      (List.map Checker_spec.vf_spec specs)))))
   in
-  let acc = Metrics.add t.checks.vf_summary m in
-  t.checks.vf_summary <- acc;
-  if Obs.metrics_on () then begin
-    Obs.set_gauge (Obs.gauge "phase.vf_summary.wall_s") acc.Metrics.wall_s;
-    Obs.set_gauge
-      (Obs.gauge "phase.vf_summary.alloc_bytes")
-      acc.Metrics.alloc_bytes
-  end;
+  t.checks.vf_summary <- accumulate "vf_summary" t.checks.vf_summary m;
   Option.iter
     (List.iter2
        (fun (spec : Checker_spec.t) vf ->
@@ -306,8 +317,13 @@ let check ?(config = Engine.default_config) t spec =
     | Some vf -> (config, vf)
     | None -> ({ config with Engine.use_vf_pruning = false }, Vf.empty ())
   in
-  Engine.run ~config ~resilience:t.resilience ?pool:t.pool ~vf
-    ~callers:(callers t) t.prog ~seg_of:(seg_of t) ~rv:t.rv spec
+  let result, m =
+    Metrics.measure ~extra_alloc:(extra_alloc t.pool) (fun () ->
+        Engine.run ~config ~resilience:t.resilience ?pool:t.pool ~vf
+          ~callers:(callers t) t.prog ~seg_of:(seg_of t) ~rv:t.rv spec)
+  in
+  t.checks.engine <- accumulate "engine" t.checks.engine m;
+  result
 
 let check_all ?config t specs =
   List.map

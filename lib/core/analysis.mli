@@ -111,9 +111,10 @@ val check :
     whole class: the checker and every built-in checker of the class
     still without one.  The first check also builds the reverse call
     index every later check reuses.  Each pass adds to the
-    [phase.vf_summary.wall_s] / [.alloc_bytes] gauges.  On a generation
-    crash the engine's fallback is mirrored — empty table, VF pruning
-    disabled. *)
+    [phase.vf_summary.wall_s] / [.alloc_bytes] gauges, and each engine
+    run (the reverse-index build included) to [phase.engine.wall_s] /
+    [.alloc_bytes].  On a generation crash the engine's fallback is
+    mirrored — empty table, VF pruning disabled. *)
 
 val check_all :
   ?config:Engine.config ->

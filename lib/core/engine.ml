@@ -121,22 +121,76 @@ let all_fields =
           (fun s v -> s.n_incidents <- v);
       ]
 
-(* Reverse call index: callee name -> (caller function, call statement). *)
-type callers = (string, (Func.t * Stmt.t) list) Hashtbl.t
+(* Reverse call index: callee name -> (caller function, call statement),
+   newest caller first — callers in reverse definition order, each
+   caller's sites in reverse statement order.  [pos] is each function's
+   definition index, the merge key of {!patch_callers}. *)
+type callers = {
+  sites : (string, (Func.t * Stmt.t) list) Hashtbl.t;
+  pos : (string, int) Hashtbl.t;
+}
+
+(* Prepend [f]'s call sites of defined callees to their entries. *)
+let index_calls prog sites (f : Func.t) =
+  Func.iter_stmts f (fun _ s ->
+      match s.Stmt.kind with
+      | Stmt.Call c when Prog.is_defined prog c.Stmt.callee ->
+        let cur =
+          Option.value (Hashtbl.find_opt sites c.Stmt.callee) ~default:[]
+        in
+        Hashtbl.replace sites c.Stmt.callee ((f, s) :: cur)
+      | _ -> ())
 
 let callers (prog : Prog.t) : callers =
   Obs.span "engine.callers" @@ fun () ->
-  let tbl = Hashtbl.create 64 in
+  let sites = Hashtbl.create 64 and pos = Hashtbl.create 64 in
+  List.iteri
+    (fun i (f : Func.t) ->
+      Hashtbl.replace pos f.Func.fname i;
+      index_calls prog sites f)
+    (Prog.functions prog);
+  { sites; pos }
+
+let callers_of (idx : callers) name =
+  Option.value (Hashtbl.find_opt idx.sites name) ~default:[]
+
+(* Re-index the call sites of replaced functions in place.  Only the
+   entries of callees that a stale or fresh body calls are touched: the
+   stale callers' sites are filtered out and the fresh ones merged back
+   by definition index, so each entry keeps the order {!callers} gives. *)
+let patch_callers (idx : callers) (prog : Prog.t) ~(stale : Func.t list)
+    ~(fresh : Func.t list) =
+  let dirty = Hashtbl.create 16 in
+  List.iter (fun (f : Func.t) -> Hashtbl.replace dirty f.Func.fname ()) stale;
+  let added = Hashtbl.create 16 in
+  List.iter (index_calls prog added) fresh;
+  let keys = Hashtbl.create 16 in
   List.iter
     (fun (f : Func.t) ->
       Func.iter_stmts f (fun _ s ->
           match s.Stmt.kind with
           | Stmt.Call c when Prog.is_defined prog c.Stmt.callee ->
-            let cur = Option.value (Hashtbl.find_opt tbl c.Stmt.callee) ~default:[] in
-            Hashtbl.replace tbl c.Stmt.callee ((f, s) :: cur)
+            Hashtbl.replace keys c.Stmt.callee ()
           | _ -> ()))
-    (Prog.functions prog);
-  tbl
+    stale;
+  Hashtbl.iter (fun k _ -> Hashtbl.replace keys k ()) added;
+  let pos (f : Func.t) = Hashtbl.find idx.pos f.Func.fname in
+  let newest_first (f, _) (g, _) = compare (pos g) (pos f) in
+  Hashtbl.iter
+    (fun callee () ->
+      let kept =
+        List.filter
+          (fun ((f : Func.t), _) -> not (Hashtbl.mem dirty f.Func.fname))
+          (callers_of idx callee)
+      in
+      let add = Option.value (Hashtbl.find_opt added callee) ~default:[] in
+      match List.merge newest_first kept add with
+      | [] -> Hashtbl.remove idx.sites callee
+      | l -> Hashtbl.replace idx.sites callee l)
+    keys
+
+(* Per-function source sites of one checker, filled on demand by {!run}. *)
+type sources = (string, (Var.t * int) list) Hashtbl.t
 
 type search_ctx = {
   prog : Prog.t;
@@ -482,7 +536,7 @@ let rec dfs ctx ~fname ~(var : Var.t) ~stack ~depth ~expansions ~anchor
                           rpath
                       | None -> ())
                     | _ -> ())
-                  (Option.value (Hashtbl.find_opt ctx.rev fname) ~default:[]))
+                  (callers_of ctx.rev fname))
           | _ -> ())
         uses;
       (* 5. the buggy value rode in through a parameter (VF3 direction):
@@ -519,7 +573,7 @@ let rec dfs ctx ~fname ~(var : Var.t) ~stack ~depth ~expansions ~anchor
                     rpath
                 | _ -> ())
               | _ -> ())
-            (Option.value (Hashtbl.find_opt ctx.rev fname) ~default:[])
+            (callers_of ctx.rev fname)
       end
   end
 
@@ -544,7 +598,7 @@ let zero_stats () =
   }
 
 let run ?(config = default_config) ?resilience ?pool ?vf ?callers:rev
-    (prog : Prog.t)
+    ?sources:resident (prog : Prog.t)
     ~seg_of ~rv (spec : Checker_spec.t) : Report.t list * stats =
   (* The verdict cache is a process-global table but gated per run: enable
      it for the duration of this run according to the config, restoring
@@ -588,15 +642,27 @@ let run ?(config = default_config) ?resilience ?pool ?vf ?callers:rev
      completion order, decides the final report list, cross-source
      deduplication and stats totals, so the output is identical at every
      [--jobs] level. *)
+  let sites_of (f : Func.t) =
+    match seg_of f.Func.fname with
+    | None -> []
+    | Some seg -> spec.Checker_spec.sources seg
+  in
+  let sites_of =
+    match resident with
+    | None -> sites_of
+    | Some tbl -> (
+      fun f ->
+        match Hashtbl.find_opt tbl f.Func.fname with
+        | Some l -> l
+        | None ->
+          let l = sites_of f in
+          Hashtbl.replace tbl f.Func.fname l;
+          l)
+  in
   let sources =
     List.concat_map
       (fun (f : Func.t) ->
-        match seg_of f.Func.fname with
-        | None -> []
-        | Some seg ->
-          List.map
-            (fun ((v : Var.t), sid) -> (f, v, sid))
-            (spec.Checker_spec.sources seg))
+        List.map (fun ((v : Var.t), sid) -> (f, v, sid)) (sites_of f))
       (Prog.functions prog)
   in
   (* One task per source, with a task-local context: searches from
@@ -635,7 +701,7 @@ let run ?(config = default_config) ?resilience ?pool ?vf ?callers:rev
         reports = [];
         found_for_source = 0;
         steps_this_source = 0;
-        seen = Hashtbl.create 1024;
+        seen = Hashtbl.create 16;
         dedup = Hashtbl.create 16;
       }
     in

@@ -110,12 +110,37 @@ val callers : Pinpoint_ir.Prog.t -> callers
     span).  It depends on the program only, so one index serves every
     checker run over the same program. *)
 
+val callers_of :
+  callers -> string -> (Pinpoint_ir.Func.t * Pinpoint_ir.Stmt.t) list
+(** The call sites of one callee: callers in reverse definition order,
+    each caller's sites in reverse statement order. *)
+
+val patch_callers :
+  callers ->
+  Pinpoint_ir.Prog.t ->
+  stale:Pinpoint_ir.Func.t list ->
+  fresh:Pinpoint_ir.Func.t list ->
+  unit
+(** Re-index in place after functions were replaced by new bodies of the
+    same name (the analysis server's re-lowered cone): [stale] are the
+    replaced bodies, [fresh] their replacements, now in [prog], in
+    definition order.  The
+    program's function set and order must be unchanged.  Afterwards the
+    index equals [callers prog], entry order included; the work is
+    proportional to the call sites of the callees the stale and fresh
+    bodies call. *)
+
+type sources = (string, (Pinpoint_ir.Var.t * int) list) Hashtbl.t
+(** One checker's source sites per function name, as
+    [Checker_spec.sources] gives them for the function's SEG. *)
+
 val run :
   ?config:config ->
   ?resilience:Pinpoint_util.Resilience.log ->
   ?pool:Pinpoint_par.Pool.t ->
   ?vf:Pinpoint_summary.Vf.t ->
   ?callers:callers ->
+  ?sources:sources ->
   Pinpoint_ir.Prog.t ->
   seg_of:(string -> Pinpoint_seg.Seg.t option) ->
   rv:Pinpoint_summary.Rv.t ->
@@ -141,4 +166,8 @@ val run :
     maintained) VF-summary table instead of generating one — the analysis
     server's path (DESIGN.md §4.13).  The caller is responsible for the
     table matching [prog].  Likewise [callers] replaces the run's own
-    {!callers} build and must index [prog] as it is now. *)
+    {!callers} build and must index [prog] as it is now.  With [sources]
+    the run reads each function's source sites from the table and
+    records the ones it had to compute; the caller keeps the table for
+    this one checker and drops the entries of functions whose SEG
+    changed. *)

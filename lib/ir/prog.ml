@@ -49,9 +49,10 @@ let intrinsics =
 let is_intrinsic name = List.mem name intrinsics
 let is_defined t name = Hashtbl.mem t.by_name name
 
-let call_graph t =
-  let funcs = Array.of_list (functions t) in
-  let index = Hashtbl.create 64 in
+(* Call graph over [funcs] (node [i] is [funcs.(i)]): one edge per call
+   statement whose callee is in [funcs], in statement order. *)
+let graph_of (funcs : Func.t array) =
+  let index = Hashtbl.create (max 16 (Array.length funcs)) in
   Array.iteri (fun i f -> Hashtbl.replace index f.Func.fname i) funcs;
   let g = Pinpoint_util.Digraph.create ~initial_capacity:(Array.length funcs) () in
   if Array.length funcs > 0 then
@@ -68,12 +69,30 @@ let call_graph t =
     funcs;
   (g, funcs)
 
-let bottom_up_sccs t =
-  let g, funcs = call_graph t in
+let call_graph t = graph_of (Array.of_list (functions t))
+
+(* The subgraph induced by the functions satisfying [mem], nodes in
+   definition order.  Only the members' statements are scanned. *)
+let cone_graph t ~mem =
+  graph_of
+    (Array.of_list (List.filter (fun f -> mem f.Func.fname) (functions t)))
+
+let sccs_of (g, funcs) =
   if Array.length funcs = 0 then []
   else
     Pinpoint_util.Digraph.sccs g
     |> List.map (fun comp -> List.map (fun i -> funcs.(i)) comp)
+
+let bottom_up_sccs t = sccs_of (call_graph t)
+
+(* Bottom-up SCCs of a caller-closed set (every caller of a member is a
+   member).  This is [bottom_up_sccs t] filtered to the set, with the same
+   component order and the same member order: no function outside the set
+   calls into it, so the whole-program Tarjan walk from an outside root
+   never reaches a member, and a walk from a member that steps outside
+   finishes and pops those components without changing any member's
+   lowlink or the stack below it (DESIGN.md §4.13). *)
+let cone_sccs t ~mem = sccs_of (cone_graph t ~mem)
 
 let n_stmts t = List.fold_left (fun acc f -> acc + Func.n_stmts f) 0 (functions t)
 

@@ -44,6 +44,17 @@ val bottom_up_sccs : t -> Func.t list list
     order for Mod/Ref, the connector transformation and summary
     generation. *)
 
+val cone_graph :
+  t -> mem:(string -> bool) -> Pinpoint_util.Digraph.t * Func.t array
+(** The call graph induced by the functions satisfying [mem], nodes in
+    definition order.  Scans only the members' statements. *)
+
+val cone_sccs : t -> mem:(string -> bool) -> Func.t list list
+(** Bottom-up SCCs of the subgraph induced by a caller-closed set (every
+    defined caller of a member is a member).  Equal to [bottom_up_sccs]
+    filtered to the set, with components and their members in the same
+    order; costs time in the set's size, not the program's. *)
+
 val n_stmts : t -> int
 
 val loc_estimate : t -> int

@@ -18,10 +18,11 @@
      their (already transformed) [Func.t] — their interfaces, SEGs and
      summaries are untouched and already equal the batch result.
 
-   Structural changes — a function added, removed, re-ordered, its
-   signature, unit or method group changed — invalidate call resolution
-   everywhere; those fall back to a full rebuild of the resident state
-   (counted in [update_stats.full_rebuild]). *)
+   Structural changes — a function added, removed, re-ordered or moved
+   to another file, its signature, unit or method group changed, a new
+   file — invalidate call resolution everywhere; those fall back to a
+   full rebuild of the resident state (counted in
+   [update_stats.full_rebuild]). *)
 
 open Pinpoint_frontend
 module Obs = Pinpoint_obs.Obs
@@ -34,14 +35,25 @@ module Transform = Pinpoint_transform.Transform
 module Rv = Pinpoint_summary.Rv
 module Vf = Pinpoint_summary.Vf
 
+(* One source file as last applied: its fdecls with one body digest
+   each, and the digest of its part of the program's structure. *)
+type file = {
+  name : string;
+  contents : string;
+  fdecls : Ast.fdecl list;
+  digests : (string * Digest.t) list;  (** (fname, body digest), same order *)
+  shape : Digest.t;
+      (** names + signatures + groups + units, in definition order *)
+}
+
 type state = {
   resilience : Resilience.log;
   pool : Pinpoint_par.Pool.t option;
-  mutable files : (string * string) list;  (** (name, contents), load order *)
-  mutable file_fdecls : (string * Ast.fdecl list) list;  (** same order *)
-  mutable digests : (string, Digest.t) Hashtbl.t;  (** fname -> body digest *)
-  mutable structure : Digest.t;
-      (** names + signatures + groups + units + definition order *)
+  mutable files : file list;  (** load order *)
+  mutable structure : Digest.t;  (** the files' shapes, in load order *)
+  mutable sigs : (string, Pinpoint_frontend.Ty_sig.t) Hashtbl.t;
+  mutable groups : (string, string list) Hashtbl.t;
+      (** lowering tables; fixed by the structure *)
   mutable prog : Prog.t;
   mutable transform : Transform.result;
   mutable segs : (string, Seg.t) Hashtbl.t;
@@ -50,8 +62,11 @@ type state = {
       (** resident per-checker VF tables, built a value-flow class at a
           time and maintained incrementally *)
   mutable callers : Pinpoint.Engine.callers option;
-      (** the engine's reverse call index of [prog]; dropped whenever
-          [prog] changes, rebuilt by the next check *)
+      (** the engine's reverse call index of [prog]: built on first use,
+          dropped by a full rebuild, patched for the dirty cone *)
+  sources :
+    (string, Pinpoint.Checker_spec.t * Pinpoint.Engine.sources) Hashtbl.t;
+      (** per-checker source sites per function; dirty entries dropped *)
   mutable epoch : int;  (** bumped once per applied update *)
   mutable n_updates : int;
   mutable n_full_rebuilds : int;
@@ -66,9 +81,10 @@ type update_stats = {
 }
 
 let epoch st = st.epoch
-let files st = st.files
+let files st = List.map (fun f -> (f.name, f.contents)) st.files
 let resilience st = st.resilience
 let n_functions st = List.length (Prog.functions st.prog)
+let program st = st.prog
 
 let seg_of st = Hashtbl.find_opt st.segs
 
@@ -79,7 +95,7 @@ let seg_of st = Hashtbl.find_opt st.segs
    digest the bytes: any body, location or header change flips it. *)
 let fdecl_digest (fd : Ast.fdecl) = Digest.string (Marshal.to_string fd [])
 
-let structure_digest (fdecls : Ast.fdecl list) =
+let shape_digest (fdecls : Ast.fdecl list) =
   Digest.string
     (Marshal.to_string
        (List.map
@@ -92,17 +108,23 @@ let structure_digest (fdecls : Ast.fdecl list) =
           fdecls)
        [])
 
+(* Equal iff every file keeps its shape and no file is added: a function
+   added, removed, moved or re-signed anywhere changes it. *)
+let structure_digest files =
+  Digest.string (String.concat "" (List.map (fun f -> f.shape) files))
+
 let parse_file (name, contents) =
-  (name, (Parser.parse_string ~file:name contents).Ast.funcs)
-
-let all_fdecls st = List.concat_map snd st.file_fdecls
-
-let digest_table fdecls =
-  let t = Hashtbl.create 64 in
-  List.iter
-    (fun (fd : Ast.fdecl) -> Hashtbl.replace t fd.Ast.fname (fdecl_digest fd))
+  let fdecls = (Parser.parse_string ~file:name contents).Ast.funcs in
+  {
+    name;
+    contents;
     fdecls;
-  t
+    digests =
+      List.map (fun (fd : Ast.fdecl) -> (fd.Ast.fname, fdecl_digest fd)) fdecls;
+    shape = shape_digest fdecls;
+  }
+
+let all_fdecls st = List.concat_map (fun f -> f.fdecls) st.files
 
 (* ---------- full (re)build ---------- *)
 
@@ -111,8 +133,8 @@ let digest_table fdecls =
    rebuilt state is the batch analysis of the current files by
    construction. *)
 let full_build st =
-  let fdecls = all_fdecls st in
-  let prog = Lower.compile { Ast.funcs = fdecls } in
+  let program = { Ast.funcs = all_fdecls st } in
+  let prog = Lower.compile program in
   let a =
     Pinpoint.Analysis.prepare ~resilience:st.resilience ?pool:st.pool prog
   in
@@ -122,8 +144,10 @@ let full_build st =
   st.rv <- a.Pinpoint.Analysis.rv;
   Hashtbl.reset st.vfs;
   st.callers <- None;
-  st.digests <- digest_table fdecls;
-  st.structure <- structure_digest fdecls
+  Hashtbl.reset st.sources;
+  st.sigs <- Lower.func_sigs program;
+  st.groups <- Lower.method_groups program;
+  st.structure <- structure_digest st.files
 
 let load ?incident_cap ?pool (files : (string * string) list) : state =
   let resilience =
@@ -131,21 +155,21 @@ let load ?incident_cap ?pool (files : (string * string) list) : state =
     | Some c -> Resilience.create ~capacity:c ()
     | None -> Resilience.create ()
   in
-  let file_fdecls = List.map parse_file files in
   let st =
     {
       resilience;
       pool;
-      files;
-      file_fdecls;
-      digests = Hashtbl.create 64;
+      files = List.map parse_file files;
       structure = Digest.string "";
+      sigs = Hashtbl.create 0;
+      groups = Hashtbl.create 0;
       prog = Prog.create ();
       transform = { Transform.ifaces = Hashtbl.create 0; ptas = Hashtbl.create 0 };
       segs = Hashtbl.create 0;
       rv = Rv.generate (Prog.create ()) (fun _ -> None);
       vfs = Hashtbl.create 8;
       callers = None;
+      sources = Hashtbl.create 8;
       epoch = 0;
       n_updates = 0;
       n_full_rebuilds = 0;
@@ -157,37 +181,36 @@ let load ?incident_cap ?pool (files : (string * string) list) : state =
 
 (* ---------- incremental update ---------- *)
 
-(* Transitive callers of the seed set over the current call graph.  Clean
-   functions' call edges are unchanged by definition (an edge changes only
-   if the caller's body changed, which puts the caller in the seed), so
-   the resident — transformed — program's graph is the right one: the
-   connector transformation rewrites call-site argument lists but never
-   callee names. *)
-let caller_closure (prog : Prog.t) (seed : (string, unit) Hashtbl.t) :
+let callers st =
+  match st.callers with
+  | Some c -> c
+  | None ->
+    let c = Pinpoint.Engine.callers st.prog in
+    st.callers <- Some c;
+    c
+
+(* Transitive callers of the seed set, over the engine's reverse call
+   index of the current program.  Clean functions' call edges are
+   unchanged by definition (an edge changes only if the caller's body
+   changed, which puts the caller in the seed), so the resident —
+   transformed — program's index is the right one: the connector
+   transformation rewrites call-site argument lists but never callee
+   names. *)
+let caller_closure st (seed : (string, unit) Hashtbl.t) :
     (string, unit) Hashtbl.t =
-  let g, funcs = Prog.call_graph prog in
-  let index = Hashtbl.create 64 in
-  Array.iteri
-    (fun i (f : Func.t) -> Hashtbl.replace index f.Func.fname i)
-    funcs;
+  let idx = callers st in
   let dirty = Hashtbl.copy seed in
   let q = Queue.create () in
-  Hashtbl.iter
-    (fun name () ->
-      match Hashtbl.find_opt index name with
-      | Some i -> Queue.add i q
-      | None -> ())
-    seed;
+  Hashtbl.iter (fun name () -> Queue.add name q) seed;
   while not (Queue.is_empty q) do
-    let i = Queue.pop q in
     List.iter
-      (fun caller ->
-        let name = funcs.(caller).Func.fname in
+      (fun ((caller : Func.t), _) ->
+        let name = caller.Func.fname in
         if not (Hashtbl.mem dirty name) then begin
           Hashtbl.replace dirty name ();
-          Queue.add caller q
+          Queue.add name q
         end)
-      (Pinpoint_util.Digraph.preds g i)
+      (Pinpoint.Engine.callers_of idx (Queue.pop q))
   done;
   dirty
 
@@ -197,41 +220,41 @@ let force_symbols_of (f : Func.t) =
       List.iter (fun v -> ignore (Var.symbol v)) (Pinpoint_ir.Stmt.def s);
       List.iter (fun v -> ignore (Var.symbol v)) (Pinpoint_ir.Stmt.uses s))
 
+(* The request's files spliced into load order (unknown names append),
+   each paired with the resident copy it replaces.  A file whose
+   contents are byte-equal to the resident copy is kept, not parsed. *)
+let splice st (changed : (string * string) list) =
+  let replaced =
+    List.map
+      (fun f ->
+        match List.assoc_opt f.name changed with
+        | Some c when not (String.equal c f.contents) ->
+          (parse_file (f.name, c), Some f)
+        | _ -> (f, None))
+      st.files
+  in
+  let fresh =
+    List.filter_map
+      (fun (n, c) ->
+        if List.exists (fun f -> f.name = n) st.files then None
+        else Some (parse_file (n, c), None))
+      changed
+  in
+  replaced @ fresh
+
 (* Apply one request's file set.  Parsing and re-lowering happen before
    any state is mutated, so a front-end error (raised to the caller)
    leaves the resident state untouched and the next request unaffected. *)
 let update_impl (st : state) (changed : (string * string) list) : update_stats
     =
-  let changed_parsed = List.map parse_file changed in
-  (* Splice the new per-file ASTs into load order; unknown files append. *)
-  let known = List.map fst st.files in
-  let fresh =
-    List.filter (fun (n, _) -> not (List.mem n known)) changed_parsed
-  in
-  let file_fdecls =
-    List.map
-      (fun (n, fds) ->
-        match List.assoc_opt n changed_parsed with
-        | Some fds' -> (n, fds')
-        | None -> (n, fds))
-      st.file_fdecls
-    @ fresh
-  in
-  let files =
-    List.map
-      (fun (n, c) ->
-        match List.assoc_opt n changed with Some c' -> (n, c') | None -> (n, c))
-      st.files
-    @ List.filter (fun (n, _) -> not (List.mem n known)) changed
-  in
-  let fdecls = List.concat_map snd file_fdecls in
-  let structure = structure_digest fdecls in
+  let spliced = splice st changed in
+  let files = List.map fst spliced in
+  let structure = structure_digest files in
   st.n_updates <- st.n_updates + 1;
   if not (Digest.equal structure st.structure) then begin
     (* Function set / signatures / order changed: call resolution may
        shift anywhere — rebuild the resident state from scratch. *)
     st.files <- files;
-    st.file_fdecls <- file_fdecls;
     full_build st;
     st.epoch <- st.epoch + 1;
     st.n_full_rebuilds <- st.n_full_rebuilds + 1;
@@ -243,18 +266,22 @@ let update_impl (st : state) (changed : (string * string) list) : update_stats
     }
   end
   else begin
-    let digests = digest_table fdecls in
+    (* Same structure: every re-parsed file declares the same functions
+       in the same order as the copy it replaces. *)
     let seed = Hashtbl.create 16 in
-    Hashtbl.iter
-      (fun name d ->
-        match Hashtbl.find_opt st.digests name with
-        | Some d0 when Digest.equal d d0 -> ()
-        | _ -> Hashtbl.replace seed name ())
-      digests;
+    List.iter
+      (fun (f, old) ->
+        Option.iter
+          (fun old ->
+            List.iter2
+              (fun (name, d) (_, d0) ->
+                if not (Digest.equal d d0) then Hashtbl.replace seed name ())
+              f.digests old.digests)
+          old)
+      spliced;
     let changed_funcs = Hashtbl.length seed in
     if changed_funcs = 0 then begin
       st.files <- files;
-      st.file_fdecls <- file_fdecls;
       st.epoch <- st.epoch + 1;
       {
         changed_files = List.length changed;
@@ -264,32 +291,35 @@ let update_impl (st : state) (changed : (string * string) list) : update_stats
       }
     end
     else begin
-      let dirty_tbl = caller_closure st.prog seed in
+      let dirty_tbl = caller_closure st seed in
       let dirty name = Hashtbl.mem dirty_tbl name in
       (* Re-lower every dirty function from its fresh AST first — still
          pure w.r.t. resident state. *)
-      let sigs = Lower.func_sigs { Ast.funcs = fdecls } in
-      let groups = Lower.method_groups { Ast.funcs = fdecls } in
       let lowered = Hashtbl.create 16 in
       List.iter
-        (fun (fd : Ast.fdecl) ->
-          if dirty fd.Ast.fname then
-            Hashtbl.replace lowered fd.Ast.fname
-              (Lower.lower_fdecl ~groups sigs fd))
-        fdecls;
+        (fun f ->
+          List.iter
+            (fun (fd : Ast.fdecl) ->
+              if dirty fd.Ast.fname then
+                Hashtbl.replace lowered fd.Ast.fname
+                  (Lower.lower_fdecl ~groups:st.groups st.sigs fd))
+            f.fdecls)
+        files;
       (* Mutation phase: splice the fresh functions into the program … *)
       st.files <- files;
-      st.file_fdecls <- file_fdecls;
-      st.digests <- digests;
-      st.callers <- None;
+      let stale = ref [] in
       Prog.replace_functions st.prog (fun (f : Func.t) ->
-          Option.value (Hashtbl.find_opt lowered f.Func.fname) ~default:f);
-      (* … drop their derived state … *)
+          match Hashtbl.find_opt lowered f.Func.fname with
+          | Some f' ->
+            stale := f :: !stale;
+            f'
+          | None -> f);
+      (* … drop their SEGs and source lists (the updates below drop
+         their own table entries) … *)
       Hashtbl.iter
         (fun name () ->
-          Transform.remove st.transform name;
           Hashtbl.remove st.segs name;
-          Rv.remove st.rv name)
+          Hashtbl.iter (fun _ (_, tbl) -> Hashtbl.remove tbl name) st.sources)
         dirty_tbl;
       (* … and reprocess the dirty SCCs bottom-up against the retained
          clean tables, mirroring the batch phase order. *)
@@ -299,6 +329,8 @@ let update_impl (st : state) (changed : (string * string) list) : update_stats
         List.filter (fun (f : Func.t) -> dirty f.Func.fname)
           (Prog.functions st.prog)
       in
+      Pinpoint.Engine.patch_callers (callers st) st.prog ~stale:!stale
+        ~fresh:dirty_funcs;
       List.iter force_symbols_of dirty_funcs;
       Seg.reserve_addresses dirty_funcs;
       Pinpoint.Analysis.build_segs ?pool:st.pool st.resilience
@@ -383,16 +415,16 @@ let check_impl ?config (st : state) (spec : Pinpoint.Checker_spec.t) :
         tables;
       resident_vf st spec
   in
-  let callers =
-    match st.callers with
-    | Some c -> c
-    | None ->
-      let c = Pinpoint.Engine.callers st.prog in
-      st.callers <- Some c;
-      c
+  let sources =
+    match Hashtbl.find_opt st.sources spec.Pinpoint.Checker_spec.name with
+    | Some (s, tbl) when s == spec -> tbl
+    | _ ->
+      let tbl = Hashtbl.create 64 in
+      Hashtbl.replace st.sources spec.Pinpoint.Checker_spec.name (spec, tbl);
+      tbl
   in
   Pinpoint.Engine.run ?config ~resilience:st.resilience ?pool:st.pool ?vf
-    ~callers st.prog ~seg_of ~rv:st.rv spec
+    ~callers:(callers st) ~sources st.prog ~seg_of ~rv:st.rv spec
 
 let check ?config (st : state) (spec : Pinpoint.Checker_spec.t) :
     Pinpoint.Report.t list * Pinpoint.Engine.stats =

@@ -11,9 +11,15 @@
     across requests (clean functions keep their variables, hence their
     symbols, hence their hash-consed formulas).
 
-    Structural edits — functions added / removed / re-ordered, signature,
-    unit or method-group changes — fall back to a transparent full
-    rebuild of the resident state.
+    Structural edits — functions added / removed / re-ordered / moved
+    between files, signature, unit or method-group changes, a new file —
+    fall back to a transparent full rebuild of the resident state.
+
+    A warm update costs the changed files and the dirty cone: only files
+    whose contents differ from the resident copy are parsed and digested,
+    the cone's SCC order comes from its own call graph, and the engine's
+    reverse call index and per-checker source lists stay resident and are
+    patched for the cone (DESIGN.md §4.13).
 
     Reports from {!check} after any sequence of updates match a batch
     [pinpoint check] over the same file contents at the rendered-line
@@ -66,3 +72,15 @@ val files : state -> (string * string) list
 
 val resilience : state -> Pinpoint_util.Resilience.log
 val n_functions : state -> int
+
+val program : state -> Pinpoint_ir.Prog.t
+(** The resident (transformed) program.  Read-only. *)
+
+val callers : state -> Pinpoint.Engine.callers
+(** The resident reverse call index of {!program}, built on first use and
+    patched by each incremental {!update} for its dirty cone. *)
+
+val caller_closure :
+  state -> (string, unit) Hashtbl.t -> (string, unit) Hashtbl.t
+(** The seed names plus their transitive callers, walked over {!callers}:
+    the dirty cone of an update whose changed functions are the seed. *)

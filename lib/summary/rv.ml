@@ -164,19 +164,16 @@ let generate ?resilience ?pool (prog : Prog.t)
    [dirty] is caller-closed (see {!Pinpoint_transform.Transform.update}),
    so a clean function's summary — which depends only on its own SEG and
    its callees' summaries — is exactly what a full regenerate would
-   produce, by induction over the bottom-up order. *)
+   produce, by induction over the bottom-up order, which the cone's own
+   SCC list follows ({!Prog.cone_sccs}). *)
 let remove (t : t) name = Hashtbl.remove t.tbl name
 
 let update ?resilience (t : t) (prog : Prog.t) ~(dirty : string -> bool) =
+  let sccs = Prog.cone_sccs prog ~mem:dirty in
+  List.iter (List.iter (fun (f : Func.t) -> remove t f.Func.fname)) sccs;
   List.iter
-    (fun (f : Func.t) -> if dirty f.Func.fname then remove t f.Func.fname)
-    (Prog.functions prog);
-  List.iter
-    (fun scc ->
-      if List.exists (fun (f : Func.t) -> dirty f.Func.fname) scc then
-        process_scc ?resilience t ~lookup:(find t)
-          ~put:(Hashtbl.replace t.tbl) scc)
-    (Prog.bottom_up_sccs prog)
+    (process_scc ?resilience t ~lookup:(find t) ~put:(Hashtbl.replace t.tbl))
+    sccs
 
 let pp ppf t =
   Hashtbl.iter

@@ -52,7 +52,8 @@ val update :
     drop the [dirty] functions' entries and redo the dirty SCCs bottom-up
     against the retained clean entries.  [dirty] must be closed under "is
     a transitive caller of a dirty function"; the summaries then equal a
-    from-scratch {!generate} over the same program.  The [seg_of] closure
+    from-scratch {!generate} over the same program.  Only the cone's SCCs
+    are walked ({!Pinpoint_ir.Prog.cone_sccs}).  The [seg_of] closure
     given at {!generate} time is consulted again, so it must reflect the
     {e updated} SEG table (the server's table is mutated in place). *)
 

@@ -176,32 +176,28 @@ let rec classes = function
     let cls, rest = List.partition (fun (s', _) -> same_class s s') members in
     cls :: classes rest
 
-(* One bottom-up walk over the call graph, summarizing each function
-   selected by [todo] for every member table, one class at a time. *)
-let summarize_all prog seg_of members ~todo =
+(* One walk over [sccs] (bottom-up), summarizing each function for every
+   member table, one class at a time. *)
+let summarize_all seg_of members sccs =
   let classes = classes members in
   List.iter
-    (fun scc ->
-      List.iter
-        (fun (f : Func.t) ->
-          if todo f.Func.fname then
-            match seg_of f.Func.fname with
-            | None -> ()
-            | Some seg ->
-              let calls = calls_of f in
-              List.iter
-                (fun cls ->
-                  List.iter2
-                    (fun (_, t) s -> Hashtbl.replace t f.Func.fname s)
-                    cls
-                    (summarize_class seg calls cls))
-                classes)
-        scc)
-    (Prog.bottom_up_sccs prog)
+    (List.iter (fun (f : Func.t) ->
+         match seg_of f.Func.fname with
+         | None -> ()
+         | Some seg ->
+           let calls = calls_of f in
+           List.iter
+             (fun cls ->
+               List.iter2
+                 (fun (_, t) s -> Hashtbl.replace t f.Func.fname s)
+                 cls
+                 (summarize_class seg calls cls))
+             classes))
+    sccs
 
 let generate_all prog seg_of specs =
   let members = List.map (fun spec -> (spec, (Hashtbl.create 64 : t))) specs in
-  summarize_all prog seg_of members ~todo:(fun _ -> true);
+  summarize_all seg_of members (Prog.bottom_up_sccs prog);
   List.map snd members
 
 let generate prog seg_of spec = List.hd (generate_all prog seg_of [ spec ])
@@ -210,14 +206,14 @@ let generate prog seg_of spec = List.hd (generate_all prog seg_of [ spec ])
    {!Rv.update} — [dirty] is caller-closed, so every SCC is wholly dirty
    or wholly clean, and clean summaries (a function of the function's own
    SEG and its callees' summaries) are already what a full generate would
-   compute. *)
+   compute.  Only the cone's SCCs are walked ({!Prog.cone_sccs}). *)
 let update_all prog seg_of members ~dirty =
+  let sccs = Prog.cone_sccs prog ~mem:dirty in
   List.iter
-    (fun (f : Func.t) ->
-      if dirty f.Func.fname then
-        List.iter (fun (_, t) -> Hashtbl.remove t f.Func.fname) members)
-    (Prog.functions prog);
-  summarize_all prog seg_of members ~todo:dirty
+    (List.iter (fun (f : Func.t) ->
+         List.iter (fun (_, t) -> Hashtbl.remove t f.Func.fname) members))
+    sccs;
+  summarize_all seg_of members sccs
 
 let fold (t : t) ~init ~f = Hashtbl.fold (fun name s acc -> f acc name s) t init
 let add (t : t) name s = Hashtbl.replace t name s

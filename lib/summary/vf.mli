@@ -73,7 +73,8 @@ val update_all :
     them in one bottom-up walk against the retained clean entries, sharing
     searches per value-flow class as {!generate_all} does.  [dirty] must
     be closed under "is a transitive caller of a dirty function"; each
-    table then equals a from-scratch {!generate} over the same program. *)
+    table then equals a from-scratch {!generate} over the same program.
+    Only the cone's SCCs are walked ({!Pinpoint_ir.Prog.cone_sccs}). *)
 
 val find : t -> string -> fsum option
 

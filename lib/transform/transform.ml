@@ -277,50 +277,42 @@ let callee_names (fs : Func.t list) =
    cache; the batch can't depend on a sibling batch member because
    simultaneously-ready components form an antichain), or unknown — the
    locked fallback lookup is only a safety net and never hits. *)
-let run_batched ?resilience pool (prog : Prog.t)
+let run_batched ?resilience pool
+    ((g, funcs) : Pinpoint_util.Digraph.t * Func.t array)
     ~(ifaces : (string, iface) Hashtbl.t)
-    ~(put_ptas : (string * Pta.t) list -> unit) ~(skip : Func.t list -> bool) =
-  let g, funcs = Prog.call_graph prog in
+    ~(put_ptas : (string * Pta.t) list -> unit) =
   let weights = Array.map fn_weight funcs in
   let lock = Mutex.create () in
   Pinpoint_par.Sched.run_bottom_up_batched ~weights pool g (fun batch ->
-      let sccs =
-        List.filter_map
-          (fun members ->
-            let scc = List.map (fun i -> funcs.(i)) members in
-            if skip scc then None else Some scc)
-          batch
-      in
-      if sccs <> [] then begin
-        let overlay : (string, iface) Hashtbl.t = Hashtbl.create 16 in
-        let cache : (string, iface) Hashtbl.t = Hashtbl.create 64 in
-        let names = callee_names (List.concat sccs) in
-        Mutex.protect lock (fun () ->
-            List.iter
-              (fun name ->
-                match Hashtbl.find_opt ifaces name with
-                | Some i -> Hashtbl.replace cache name i
-                | None -> ())
-              names);
-        let batch_ptas = ref [] in
-        List.iter
-          (process_scc ?resilience
-             ~iface_of:(fun name ->
-               match Hashtbl.find_opt overlay name with
+      let sccs = List.map (List.map (fun i -> funcs.(i))) batch in
+      let overlay : (string, iface) Hashtbl.t = Hashtbl.create 16 in
+      let cache : (string, iface) Hashtbl.t = Hashtbl.create 64 in
+      let names = callee_names (List.concat sccs) in
+      Mutex.protect lock (fun () ->
+          List.iter
+            (fun name ->
+              match Hashtbl.find_opt ifaces name with
+              | Some i -> Hashtbl.replace cache name i
+              | None -> ())
+            names);
+      let batch_ptas = ref [] in
+      List.iter
+        (process_scc ?resilience
+           ~iface_of:(fun name ->
+             match Hashtbl.find_opt overlay name with
+             | Some _ as r -> r
+             | None -> (
+               match Hashtbl.find_opt cache name with
                | Some _ as r -> r
-               | None -> (
-                 match Hashtbl.find_opt cache name with
-                 | Some _ as r -> r
-                 | None ->
-                   Mutex.protect lock (fun () -> Hashtbl.find_opt ifaces name)))
-             ~put_iface:(Hashtbl.replace overlay)
-             ~flush_ifaces:(fun () -> ())
-             ~put_pta:(fun name pta -> batch_ptas := (name, pta) :: !batch_ptas))
-          sccs;
-        Mutex.protect lock (fun () ->
-            Hashtbl.iter (Hashtbl.replace ifaces) overlay;
-            put_ptas !batch_ptas)
-      end)
+               | None ->
+                 Mutex.protect lock (fun () -> Hashtbl.find_opt ifaces name)))
+           ~put_iface:(Hashtbl.replace overlay)
+           ~flush_ifaces:(fun () -> ())
+           ~put_pta:(fun name pta -> batch_ptas := (name, pta) :: !batch_ptas))
+        sccs;
+      Mutex.protect lock (fun () ->
+          Hashtbl.iter (Hashtbl.replace ifaces) overlay;
+          put_ptas !batch_ptas))
 
 let run ?resilience ?pool (prog : Prog.t) : result =
   let ifaces : (string, iface) Hashtbl.t = Hashtbl.create 64 in
@@ -330,9 +322,8 @@ let run ?resilience ?pool (prog : Prog.t) : result =
     (* SCC-wave parallel path: a component starts once all its callee
        components are done, so every cross-SCC [iface_of] lookup finds
        exactly what the sequential order would have found. *)
-    run_batched ?resilience pool prog ~ifaces
+    run_batched ?resilience pool (Prog.call_graph prog) ~ifaces
       ~put_ptas:(List.iter (fun (name, pta) -> Hashtbl.replace ptas name pta))
-      ~skip:(fun _ -> false)
   | _ ->
     List.iter
       (process_scc ?resilience
@@ -343,48 +334,41 @@ let run ?resilience ?pool (prog : Prog.t) : result =
       (Prog.bottom_up_sccs prog));
   { ifaces; ptas }
 
+let remove (t : result) name =
+  Hashtbl.remove t.ifaces name;
+  Hashtbl.remove t.ptas name
+
 (* Incremental re-transformation (DESIGN.md §4.13).  [dirty] names the
    functions whose bodies were re-lowered (fresh, untransformed IR) — by
    construction of the invalidation cone this set is closed under "is a
    transitive caller of", so every SCC is either entirely dirty or entirely
-   clean.  Dirty entries are dropped first: during reprocessing a
-   same-SCC member not yet reprocessed must look unknown, exactly as it
-   does in a from-scratch bottom-up run — with that, induction over the
-   bottom-up SCC order gives interfaces and points-to results identical to
-   a full [run] on the same program. *)
+   clean, and the cone's own call graph orders its SCCs exactly as the
+   whole program's does ({!Prog.cone_sccs}).  Dirty entries are dropped
+   first: during reprocessing a same-SCC member not yet reprocessed must
+   look unknown, exactly as it does in a from-scratch bottom-up run — with
+   that, induction over the bottom-up SCC order gives interfaces and
+   points-to results identical to a full [run] on the same program. *)
 let update ?resilience ?pool (t : result) (prog : Prog.t)
     ~(dirty : string -> bool) =
-  let stale name =
-    if dirty name then begin
-      Hashtbl.remove t.ifaces name;
-      Hashtbl.remove t.ptas name
-    end
-  in
-  List.iter (fun (f : Func.t) -> stale f.Func.fname) (Prog.functions prog);
   match pool with
   | Some pool when Pinpoint_par.Pool.jobs pool > 1 ->
-    (* Same batched wave as [run], skipping clean components (their
-       interfaces are retained in [t.ifaces] and visible to the prefetch). *)
-    run_batched ?resilience pool prog ~ifaces:t.ifaces
+    (* Same batched wave as [run], over the cone's graph; clean
+       interfaces stay in [t.ifaces], visible to the prefetch. *)
+    let ((_, funcs) as cone) = Prog.cone_graph prog ~mem:dirty in
+    Array.iter (fun (f : Func.t) -> remove t f.Func.fname) funcs;
+    run_batched ?resilience pool cone ~ifaces:t.ifaces
       ~put_ptas:
         (List.iter (fun (name, pta) -> Hashtbl.replace t.ptas name pta))
-      ~skip:(fun scc ->
-        not (List.exists (fun (f : Func.t) -> dirty f.Func.fname) scc))
   | _ ->
+    let sccs = Prog.cone_sccs prog ~mem:dirty in
+    List.iter (List.iter (fun (f : Func.t) -> remove t f.Func.fname)) sccs;
     List.iter
-      (fun scc ->
-        if List.exists (fun (f : Func.t) -> dirty f.Func.fname) scc then
-          process_scc ?resilience
-            ~iface_of:(Hashtbl.find_opt t.ifaces)
-            ~put_iface:(Hashtbl.replace t.ifaces)
-            ~flush_ifaces:(fun () -> ())
-            ~put_pta:(Hashtbl.replace t.ptas)
-            scc)
-      (Prog.bottom_up_sccs prog)
-
-let remove (t : result) name =
-  Hashtbl.remove t.ifaces name;
-  Hashtbl.remove t.ptas name
+      (process_scc ?resilience
+         ~iface_of:(Hashtbl.find_opt t.ifaces)
+         ~put_iface:(Hashtbl.replace t.ifaces)
+         ~flush_ifaces:(fun () -> ())
+         ~put_pta:(Hashtbl.replace t.ptas))
+      sccs
 
 let pp_iface ppf i =
   Format.fprintf ppf "refs: %a; mods: %a%s"

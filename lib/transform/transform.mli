@@ -72,10 +72,11 @@ val update :
     entirely dirty or entirely clean.  Dirty table entries are dropped and
     the dirty SCCs reprocessed bottom-up against the retained clean
     interfaces, producing interfaces and points-to results identical to a
-    from-scratch {!run} on the same program.  Sequential by default (cones
-    are small); with [pool] (and more than one job) the dirty components
-    run as the same batched bottom-up wave as {!run}, clean components
-    untouched. *)
+    from-scratch {!run} on the same program.  Only the cone's statements
+    are scanned: its SCCs come from {!Pinpoint_ir.Prog.cone_sccs}.
+    Sequential by default (cones are small); with [pool] (and more than
+    one job) the dirty components run as the same batched bottom-up wave
+    as {!run}, over the cone's own call graph. *)
 
 val remove : result -> string -> unit
 (** Forget one function's interface and points-to entries (deleted

@@ -148,6 +148,81 @@ let test_recursion_scc () =
   Alcotest.(check int) "one scc" 1 (List.length sccs);
   Alcotest.(check int) "two members" 2 (List.length (List.hd sccs))
 
+(* ---------- cone-local SCC order ---------- *)
+
+(* The caller-closure of [seed] (definition indices) over [prog]'s call
+   graph, as a membership test on function names. *)
+let caller_closed prog seed =
+  let g, funcs = Prog.call_graph prog in
+  let inside = Array.make (Array.length funcs) false in
+  let rec close i =
+    if not inside.(i) then begin
+      inside.(i) <- true;
+      List.iter close (Pinpoint_util.Digraph.preds g i)
+    end
+  in
+  List.iter close seed;
+  let names = Hashtbl.create 16 in
+  Array.iteri
+    (fun i (f : Func.t) -> if inside.(i) then Hashtbl.replace names f.Func.fname ())
+    funcs;
+  Hashtbl.mem names
+
+let scc_names = List.map (List.map (fun (f : Func.t) -> f.Func.fname))
+
+(* [cone_sccs] is the whole-program SCC list filtered to the set, with
+   the same component and member order. *)
+let cone_is_restriction prog picks =
+  let n = List.length (Prog.functions prog) in
+  n = 0
+  ||
+  let mem = caller_closed prog (List.map (fun k -> k mod n) picks) in
+  let filtered =
+    List.filter_map
+      (fun scc ->
+        match List.filter (fun (f : Func.t) -> mem f.Func.fname) scc with
+        | [] -> None
+        | l -> Some l)
+      (Prog.bottom_up_sccs prog)
+  in
+  scc_names (Prog.cone_sccs prog ~mem) = scc_names filtered
+
+let test_cone_sccs_gen =
+  Helpers.qtest ~count:25 "cone sccs (Gen programs)"
+    QCheck.(pair (int_range 1 10_000) (small_list small_nat))
+    (fun (seed, picks) ->
+      let src =
+        (Pinpoint_workload.Gen.generate ~name:"cone"
+           {
+             Pinpoint_workload.Gen.default_params with
+             Pinpoint_workload.Gen.seed;
+             target_loc = 300;
+           })
+          .Pinpoint_workload.Gen.source
+      in
+      cone_is_restriction (Helpers.compile src) picks)
+
+(* Random call graphs with self-loops and cycles: function [i] calls the
+   listed functions (indices taken modulo the function count). *)
+let test_cone_sccs_cyclic =
+  Helpers.qtest ~count:300 "cone sccs (cyclic graphs)"
+    QCheck.(
+      pair
+        (list_of_size (Gen.int_range 1 12) (small_list (int_bound 11)))
+        (small_list small_nat))
+    (fun (calls, picks) ->
+      let n = List.length calls in
+      let src =
+        String.concat " "
+          (List.mapi
+             (fun i callees ->
+               Printf.sprintf "void f%d() { %s }" i
+                 (String.concat " "
+                    (List.map (fun j -> Printf.sprintf "f%d();" (j mod n)) callees)))
+             calls)
+      in
+      cone_is_restriction (Helpers.compile src) picks)
+
 let test_validate_catches () =
   let f = Func.create "bad" ~params:[] ~ret_ty:None in
   Func.set_term f 0 (Func.Jump 99);
@@ -222,6 +297,8 @@ let suite =
     Alcotest.test_case "call graph" `Quick test_call_graph;
     Alcotest.test_case "bottom-up order" `Quick test_bottom_up_order;
     Alcotest.test_case "recursion scc" `Quick test_recursion_scc;
+    test_cone_sccs_gen;
+    test_cone_sccs_cyclic;
     Alcotest.test_case "validate catches bad targets" `Quick test_validate_catches;
     Alcotest.test_case "units" `Quick test_prog_units;
     Alcotest.test_case "loc estimate" `Quick test_loc_estimate;

@@ -160,7 +160,10 @@ let test_shared_check_work () =
     (fun key ->
       Alcotest.(check bool) ("metrics mention " ^ key) true
         (Pinpoint_util.Pp.contains json ("\"" ^ key ^ "\"")))
-    [ "phase.vf_summary.wall_s"; "phase.vf_summary.alloc_bytes" ]
+    [
+      "phase.vf_summary.wall_s"; "phase.vf_summary.alloc_bytes";
+      "phase.engine.wall_s"; "phase.engine.alloc_bytes";
+    ]
 
 (* --------------------------------------------------------------- *)
 (* Snapshot merge algebra *)
@@ -544,6 +547,8 @@ let golden_metric_names =
     ("counter", "solver.n_unknown");
     ("counter", "solver.n_unsat");
     ("gauge", "corecache.entries");
+    ("gauge", "phase.engine.alloc_bytes");
+    ("gauge", "phase.engine.wall_s");
     ("gauge", "phase.frontend.alloc_bytes");
     ("gauge", "phase.frontend.wall_s");
     ("gauge", "phase.seg_build.alloc_bytes");

@@ -211,6 +211,196 @@ let test_cone_is_partial () =
     true
     (stats.Incr.dirty_cone < total)
 
+(* ---------- per-file change detection, resident index ---------- *)
+
+module Engine = Pinpoint.Engine
+module Prog = Pinpoint_ir.Prog
+module Func = Pinpoint_ir.Func
+module Stmt = Pinpoint_ir.Stmt
+
+let probe_file = ("probe.mc", "void __probe() { int t = 1; print(t); }\n")
+
+let is_probe (s : Ast.stmt) =
+  match s.Ast.snode with
+  | Ast.Sexpr { Ast.enode = Ast.Ecall ("__probe", []); _ } -> true
+  | _ -> false
+
+(* Body edits that add or remove call edges without touching the
+   program's structure: toggle a leading [__probe()] call, or drop the
+   first top-level call statement. *)
+let toggle_probe (body : Ast.stmt) =
+  let probe =
+    {
+      Ast.sloc = body.Ast.sloc;
+      snode =
+        Ast.Sexpr
+          { Ast.eloc = body.Ast.sloc; enode = Ast.Ecall ("__probe", []) };
+    }
+  in
+  match body.Ast.snode with
+  | Ast.Sblock (p :: rest) when is_probe p ->
+    { body with Ast.snode = Ast.Sblock rest }
+  | Ast.Sblock ss -> { body with Ast.snode = Ast.Sblock (probe :: ss) }
+  | _ -> { body with Ast.snode = Ast.Sblock [ probe; body ] }
+
+let drop_first_call (body : Ast.stmt) =
+  let rec drop = function
+    | [] -> []
+    | { Ast.snode = Ast.Sexpr { Ast.enode = Ast.Ecall _; _ }; _ } :: rest ->
+      rest
+    | s :: rest -> s :: drop rest
+  in
+  match body.Ast.snode with
+  | Ast.Sblock ss -> { body with Ast.snode = Ast.Sblock (drop ss) }
+  | _ -> body
+
+let edit_body chunks ~chunk ~i edit =
+  let name, fds = chunks.(chunk) in
+  let target = i mod List.length fds in
+  chunks.(chunk) <-
+    ( name,
+      List.mapi
+        (fun j (fd : Ast.fdecl) ->
+          if j = target then { fd with Ast.body = edit fd.Ast.body } else fd)
+        fds )
+
+let index_lists idx prog =
+  List.map
+    (fun (f : Func.t) ->
+      ( f.Func.fname,
+        List.map
+          (fun ((c : Func.t), (s : Stmt.t)) -> (c.Func.fname, s.Stmt.sid))
+          (Engine.callers_of idx f.Func.fname) ))
+    (Prog.functions prog)
+
+(* Reference closure: transitive callers over the whole call graph. *)
+let graph_closure prog seed =
+  let g, funcs = Prog.call_graph prog in
+  let inside = Array.make (Array.length funcs) false in
+  let rec close i =
+    if not inside.(i) then begin
+      inside.(i) <- true;
+      List.iter close (Pinpoint_util.Digraph.preds g i)
+    end
+  in
+  Array.iteri
+    (fun i (f : Func.t) -> if List.mem f.Func.fname seed then close i)
+    funcs;
+  Array.to_list funcs
+  |> List.filteri (fun i _ -> inside.(i))
+  |> List.map (fun (f : Func.t) -> f.Func.fname)
+  |> List.sort compare
+
+let test_patched_index =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:4 ~name:"patched caller index = fresh"
+       QCheck.(int_range 1 10_000)
+       (fun seed ->
+         let rng = Random.State.make [| seed |] in
+         let chunks =
+           split_subject 3 (subject ~seed:(seed mod 97) ~loc:350 ())
+         in
+         let st = Incr.load (contents_of chunks @ [ probe_file ]) in
+         for step = 1 to 8 do
+           let chunk = Random.State.int rng 3 in
+           let i = Random.State.int rng 1000 in
+           (match Random.State.int rng 3 with
+           | 0 -> ignore (bump_nth_function chunks ~chunk ~i)
+           | 1 -> edit_body chunks ~chunk ~i toggle_probe
+           | _ -> edit_body chunks ~chunk ~i drop_first_call);
+           let name, fds = chunks.(chunk) in
+           let stats = Incr.update st [ (name, emit_fdecls fds) ] in
+           if stats.Incr.full_rebuild then
+             Alcotest.failf "step %d: body edit rebuilt everything" step;
+           let prog = Incr.program st in
+           if index_lists (Incr.callers st) prog
+              <> index_lists (Engine.callers prog) prog
+           then Alcotest.failf "step %d: patched index differs" step;
+           let names =
+             List.map (fun (f : Func.t) -> f.Func.fname) (Prog.functions prog)
+           in
+           let seed_names =
+             List.init 2 (fun _ ->
+                 List.nth names (Random.State.int rng (List.length names)))
+           in
+           let seed_tbl = Hashtbl.create 4 in
+           List.iter (fun n -> Hashtbl.replace seed_tbl n ()) seed_names;
+           let got =
+             List.sort compare
+               (Hashtbl.fold (fun n () acc -> n :: acc)
+                  (Incr.caller_closure st seed_tbl) [])
+           in
+           if got <> graph_closure prog seed_names then
+             Alcotest.failf "step %d: caller closure differs" step
+         done;
+         let files = contents_of chunks @ [ probe_file ] in
+         List.for_all
+           (fun spec -> batch_renders files spec = server_renders st spec)
+           checkers_under_test))
+
+(* Re-sending every file unchanged is a no-op; so is a byte-different
+   copy with the same functions (a trailing newline), which is re-parsed
+   and compared digest by digest. *)
+let test_resend_unchanged () =
+  let chunks = split_subject 3 (subject ~seed:17 ~loc:300 ()) in
+  let st = Incr.load (contents_of chunks) in
+  let stats = Incr.update st (contents_of chunks) in
+  Alcotest.(check int) "unchanged: changed_funcs" 0 stats.Incr.changed_funcs;
+  Alcotest.(check bool) "unchanged: no rebuild" false stats.Incr.full_rebuild;
+  let name, fds = chunks.(1) in
+  let stats = Incr.update st [ (name, emit_fdecls fds ^ "\n") ] in
+  Alcotest.(check int) "trailing newline: changed_funcs" 0
+    stats.Incr.changed_funcs;
+  Alcotest.(check int) "trailing newline: dirty_cone" 0 stats.Incr.dirty_cone
+
+(* Editing file A and then file B must leave A's resident digests at
+   A's edited version: a re-parse of A's current text finds nothing
+   changed, and undoing A's edit finds exactly one function changed. *)
+let test_digests_per_file () =
+  let chunks = split_subject 2 (subject ~seed:29 ~loc:300 ()) in
+  let st = Incr.load (contents_of chunks) in
+  let name_a, fds_a0 = chunks.(0) in
+  let rec bump i = if not (bump_nth_function chunks ~chunk:0 ~i) then bump (i + 1) in
+  bump 1;
+  let _, fds_a = chunks.(0) in
+  let stats = Incr.update st [ (name_a, emit_fdecls fds_a) ] in
+  Alcotest.(check int) "edit A" 1 stats.Incr.changed_funcs;
+  ignore (bump_nth_function chunks ~chunk:1 ~i:2);
+  let name_b, fds_b = chunks.(1) in
+  ignore (Incr.update st [ (name_b, emit_fdecls fds_b) ]);
+  let stats = Incr.update st [ (name_a, emit_fdecls fds_a ^ "\n") ] in
+  Alcotest.(check int) "A re-parsed, unchanged" 0 stats.Incr.changed_funcs;
+  let stats = Incr.update st [ (name_a, emit_fdecls fds_a0) ] in
+  Alcotest.(check int) "A's edit undone" 1 stats.Incr.changed_funcs;
+  Alcotest.(check bool) "undo is incremental" false stats.Incr.full_rebuild
+
+(* A new file, or functions re-ordered within a file, change the
+   structure: full rebuild, and the result still equals batch. *)
+let test_structural_rebuilds () =
+  let chunks = split_subject 2 (subject ~seed:37 ~loc:300 ()) in
+  let st = Incr.load (contents_of chunks) in
+  let stats = Incr.update st [ probe_file ] in
+  Alcotest.(check bool) "new file rebuilds" true stats.Incr.full_rebuild;
+  let files = contents_of chunks @ [ probe_file ] in
+  List.iter
+    (fun spec ->
+      Alcotest.(check (list string)) "new file: server = batch"
+        (batch_renders files spec) (server_renders st spec))
+    checkers_under_test;
+  let name, fds = chunks.(0) in
+  (match fds with
+  | a :: b :: rest -> chunks.(0) <- (name, b :: a :: rest)
+  | _ -> Alcotest.fail "chunk too small");
+  let _, fds = chunks.(0) in
+  let stats = Incr.update st [ (name, emit_fdecls fds) ] in
+  Alcotest.(check bool) "reorder rebuilds" true stats.Incr.full_rebuild;
+  let files = contents_of chunks @ [ probe_file ] in
+  List.iter
+    (fun spec ->
+      Alcotest.(check (list string)) "reorder: server = batch"
+        (batch_renders files spec) (server_renders st spec))
+    checkers_under_test
+
 (* ---------- server protocol ---------- *)
 
 let req_of_files ?id ?(checkers = []) ?deadline_s files =
@@ -1039,6 +1229,11 @@ let suite =
     Alcotest.test_case "incremental identity (seq)" `Quick test_identity_seq;
     Alcotest.test_case "incremental identity (jobs 4)" `Quick test_identity_jobs4;
     Alcotest.test_case "dirty cone is partial" `Quick test_cone_is_partial;
+    test_patched_index;
+    Alcotest.test_case "re-send unchanged" `Quick test_resend_unchanged;
+    Alcotest.test_case "digests kept per file" `Quick test_digests_per_file;
+    Alcotest.test_case "structural edits rebuild" `Quick
+      test_structural_rebuilds;
     Alcotest.test_case "request isolation" `Quick test_request_isolation;
     Alcotest.test_case "deadline isolation" `Quick test_deadline_isolation;
     Alcotest.test_case "rss shedding" `Quick test_rss_shedding;
