@@ -10,9 +10,10 @@
     - at a return it pops back to the call site it descended from, or — for
       a source discovered inside a callee — expands bottom-up into every
       caller (VF2's role);
-    - each complete candidate path gets its condition from
-      {!Vpath.condition} (context-sensitive by cloning) and is kept only
-      if the SMT solver cannot refute it.
+    - each complete candidate path gets its condition from the
+      incremental builder {!Vpath.Cond} (context-sensitive by cloning),
+      is given to the SMT solver once, and is kept only if the solver
+      cannot refute it.
 
     Budgets: call-chain depth (the paper's "six levels"), caller
     expansions, total steps per source, and a per-source wall-clock
@@ -28,14 +29,6 @@ type config = {
       (** consult callee VF summaries before descending (§3.3.1(3));
           disabling it descends into every defined callee — the
           demand-driven-ness ablation *)
-  prune_prefixes : bool;
-      (** run the linear-time contradiction solver on the incrementally
-          built condition prefix during the search; a refuted prefix makes
-          every candidate below it [Infeasible] without an SMT query
-          (traversal — and so the report set — is unchanged; default
-          [true], CLI [--no-prune]) *)
-  prune_stride : int;
-      (** hops between linear prefix checks (default 4; 1 = every hop) *)
   use_qcache : bool;
       (** enable the process-wide SMT verdict cache ({!Pinpoint_smt.Qcache})
           for the duration of the run (default [true], CLI [--no-qcache]) *)
@@ -46,12 +39,6 @@ type config = {
           set contains a stored core are Unsat without running CDCL.  A hit
           is exchangeable with recomputation, so reports are unchanged
           (default [true], CLI [--no-core-cache]) *)
-  use_carry : bool;
-      (** per-source solver carryover ({!Pinpoint_smt.Solver.Carry}):
-          re-seed theory lemmas learned by earlier queries from the same
-          source into later ones.  Lemmas are theory-valid, so verdicts —
-          and reports — are unchanged; only propagations drop (default
-          [true]) *)
   use_refine : bool;
       (** demand-driven refinement ({!Pinpoint_pta.Refine}): on a Sat
           feasibility verdict, re-check the condition strengthened with
@@ -87,11 +74,11 @@ type stats = {
       (** … replayed from the verdict cache (schedule-dependent split
           against [n_rung_full] at [--jobs] > 1; their sum is not) *)
   mutable n_prefix_checks : int;
-      (** linear prefix checks run by the condition builder *)
-  mutable n_pruned_prefixes : int;  (** prefixes the linear solver refuted *)
-  mutable n_pruned_candidates : int;
-      (** candidates marked [Infeasible] without an SMT query because a
-          refuted prefix covered them *)
+  mutable n_pruned_prefixes : int;
+      (** Always 0: no linear checks run on condition prefixes (DESIGN.md
+          §4.10).  Both fields remain only because the benchmark worker
+          ([perfbench/pb.ml]) reads them; they are not published as
+          metrics. *)
   mutable n_refine_checks : int;
       (** Sat verdicts that produced refinement facts and were re-checked *)
   mutable n_refine_removed : int;

@@ -248,8 +248,20 @@ let load_files t files =
 
 (* Warm restart: snapshot + whole journal lines.  A torn final line
    (crash mid-append) fails to parse and ends the replay — everything
-   before it is intact by construction. *)
+   before it is intact by construction.  Snapshot and journal are
+   external input: a snapshot whose files do not parse or lower is no
+   snapshot (cold start), and a journal line whose files do not is
+   treated like a torn line ([Incr.update] raises before mutating, so
+   the state replayed so far is kept). *)
 let recover t =
+  let front_end f x =
+    match f x with
+    | v -> Some v
+    | exception
+        (Pinpoint_frontend.Parser.Error _ | Pinpoint_frontend.Lower.Error _) ->
+      None
+  in
+  let files_of j = Option.bind (Json.member "files" j) files_of_json in
   match t.cfg.snapshot_dir with
   | None -> false
   | Some dir when not (Sys.file_exists (snapshot_path dir)) -> false
@@ -263,30 +275,25 @@ let recover t =
     match Json.parse (String.trim (read_all (snapshot_path dir))) with
     | Error _ -> false
     | Ok snap -> (
-      match Option.bind (Json.member "files" snap) files_of_json with
+      let load = Incr.load ~incident_cap:t.cfg.incident_cap ?pool:t.cfg.pool in
+      match Option.bind (files_of snap) (front_end load) with
       | None -> false
-      | Some files ->
-        let epoch =
-          Option.value ~default:0
-            (Option.bind (Json.member "epoch" snap) Json.int_opt)
-        in
-        let st =
-          Incr.load ~incident_cap:t.cfg.incident_cap ?pool:t.cfg.pool files
-        in
+      | Some st ->
         t.st <- Some st;
-        t.epoch_base <- epoch;
+        t.epoch_base <-
+          Option.value ~default:0
+            (Option.bind (Json.member "epoch" snap) Json.int_opt);
         if Sys.file_exists (journal_path dir) then begin
           let ic = open_in (journal_path dir) in
           (try
              while true do
                let line = input_line ic in
                if String.trim line <> "" then
-                 match Json.parse line with
-                 | Error _ -> raise Exit
-                 | Ok j -> (
-                   match Option.bind (Json.member "files" j) files_of_json with
-                   | None -> raise Exit
-                   | Some changed -> ignore (Incr.update st changed))
+                 let replayed =
+                   Option.bind (Result.to_option (Json.parse line)) (fun j ->
+                       Option.bind (files_of j) (front_end (Incr.update st)))
+                 in
+                 if replayed = None then raise Exit
              done
            with End_of_file | Exit -> ());
           close_in_noerr ic

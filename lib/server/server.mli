@@ -48,8 +48,10 @@ val load_files : t -> (string * string) list -> unit
 
 val recover : t -> bool
 (** Warm restart: load the epoch snapshot from [snapshot_dir] and replay
-    whole journal lines (a torn tail line ends the replay).  Returns
-    [false] when there is nothing (or nothing readable) to recover. *)
+    whole journal lines (a torn tail line, or one whose files fail to
+    parse or lower, ends the replay).  Returns [false] when there is
+    nothing (or nothing readable, parsable and lowerable) to recover.
+    Never raises a front-end error. *)
 
 val handle_line : t -> string -> string * [ `Continue | `Stop ]
 (** One request line -> one response line.  Never raises: every failure

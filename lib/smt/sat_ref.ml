@@ -38,7 +38,7 @@ let add_clause t lits =
 
 type result = Sat of bool array | Unsat
 
-type counts = {
+type counts = Sat.counts = {
   propagations : int;
   decisions : int;
   conflicts : int;

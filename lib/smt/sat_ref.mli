@@ -2,11 +2,10 @@
 
     This is the pre-CDCL solver: unit propagation by scanning every clause,
     chronological backtracking, no learning, no decision heuristic.  It is
-    retained for differential testing ({!Sat} cross-checks CDCL verdicts and
-    models against it), for the [PINPOINT_SAT=ref] ablation (CI diffs corpus
-    reports byte-for-byte between the two cores) and for the [bench smt]
-    old-vs-new comparison.  Production code should go through {!Sat}, which
-    dispatches to this module only when explicitly asked to. *)
+    retained only as an oracle: the CNF-level differential test checks
+    CDCL verdicts and models against it, and [bench smt] compares the two
+    cores' effort on random CNF.  The analysis never calls it; it goes
+    through {!Sat}. *)
 
 type t
 
@@ -27,7 +26,7 @@ type result =
       (** [model.(v)] is the value of variable [v]; index 0 is unused. *)
   | Unsat
 
-type counts = {
+type counts = Sat.counts = {
   propagations : int;  (** literals assigned by unit propagation *)
   decisions : int;     (** branching variable assignments *)
   conflicts : int;     (** falsified clauses hit during search *)
@@ -37,7 +36,7 @@ type counts = {
 
 val counts : t -> counts
 (** Cumulative search-effort counters for this instance (monotonic across
-    [solve] calls; shared field layout with {!Sat.counts}). *)
+    [solve] calls; the same record as {!Sat.counts}). *)
 
 val solve :
   ?budget:int ->

@@ -38,8 +38,6 @@ type stats = {
   mutable n_learned : int;
   mutable n_restarts : int;
   mutable n_ne_dropped : int;
-  mutable n_carry_stored : int;
-  mutable n_carry_seeded : int;
 }
 
 let zero () =
@@ -60,8 +58,6 @@ let zero () =
     n_learned = 0;
     n_restarts = 0;
     n_ne_dropped = 0;
-    n_carry_stored = 0;
-    n_carry_seeded = 0;
   }
 
 (* Counters are domain-local: each worker accumulates into its own record
@@ -108,12 +104,6 @@ let fields =
       field "n_ne_dropped"
         (fun s -> s.n_ne_dropped)
         (fun s v -> s.n_ne_dropped <- v);
-      field "n_carry_stored"
-        (fun s -> s.n_carry_stored)
-        (fun s v -> s.n_carry_stored <- v);
-      field "n_carry_seeded"
-        (fun s -> s.n_carry_seeded)
-        (fun s v -> s.n_carry_seeded <- v);
     ]
 
 let reset_stats () = Obs.Agg.copy_into fields ~into:(stats ()) (zero ())
@@ -148,8 +138,6 @@ let obs_publish s =
       (match q.Qcache.cap with Some c -> float_of_int c | None -> -1.0);
     Obs.set_gauge (Obs.gauge "qcache.evictions")
       (float_of_int q.Qcache.evictions);
-    Obs.set_gauge (Obs.gauge "qcache.inserts") (float_of_int q.Qcache.inserts);
-    Obs.set_gauge (Obs.gauge "qcache.probes") (float_of_int q.Qcache.probes);
     let c = Corecache.stats () in
     (* Probes and hits are the corecache.n_probe / n_subsume_hit
        counters; only the entry count is state. *)
@@ -218,10 +206,6 @@ type query = {
   q_root : int;
   q_atom_vars : (int, int) Hashtbl.t; (* atom expr id -> SAT var *)
   q_var_atom : (int, Expr.t) Hashtbl.t; (* SAT var -> atom expr *)
-  mutable q_lemmas : (Expr.t * bool) list list;
-      (* theory blocking cores learned while solving this query, newest
-         first: each is an atom/polarity assignment the theory refuted, so
-         its negation (the blocking clause) is valid in every query *)
 }
 
 let make_query (e : Expr.t) : query =
@@ -237,78 +221,7 @@ let make_query (e : Expr.t) : query =
       | Some v -> Hashtbl.add var_atom v a
       | None -> ())
     atoms;
-  {
-    q_sat = sat;
-    q_root = root;
-    q_atom_vars = atom_vars;
-    q_var_atom = var_atom;
-    q_lemmas = [];
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Per-source solver carryover (DESIGN.md §4.17).
-
-   Queries from one source share a prefix: candidate k+1's condition is
-   candidate k's plus a sink conjunct or two.  The theory blocking
-   clauses the lazy loop learns while refuting propositional models are
-   {e theory lemmas} — "this atom assignment is arithmetically
-   inconsistent" — valid for any formula over the same atoms, not just
-   the query that learned them.  A [Carry.t] keeps a bounded pouch of
-   them per source; when the next query from that source is encoded, any
-   lemma whose atoms all occur in the new query is re-seeded as a clause
-   before the first SAT call, so the solver never revisits the refuted
-   assignment (strictly fewer propagations, measured by the bench's
-   carryover leg).  Seeding a valid clause cannot change a verdict, so
-   reports are identical with carryover on or off. *)
-
-module Carry = struct
-  type t = { mutable lemmas : (Expr.t * bool) list list }
-
-  let max_lemmas = 32
-  let max_lits = 12
-
-  let create () = { lemmas = [] }
-
-  let truncate n l =
-    let rec go n = function
-      | x :: tl when n > 0 -> x :: go (n - 1) tl
-      | _ -> []
-    in
-    go n l
-
-  (* Harvest the blocking cores a finished query learned. *)
-  let store (c : t) (q : query) =
-    let st = stats () in
-    List.iter
-      (fun lemma ->
-        if List.length lemma <= max_lits then begin
-          c.lemmas <- lemma :: c.lemmas;
-          st.n_carry_stored <- st.n_carry_stored + 1
-        end)
-      (List.rev q.q_lemmas);
-    c.lemmas <- truncate max_lemmas c.lemmas
-
-  (* Re-seed every applicable lemma into a freshly encoded query: the
-     lemma's atoms must all be atoms of the new query (mapped through its
-     own Tseitin variables). *)
-  let seed (c : t) (q : query) =
-    let st = stats () in
-    List.iter
-      (fun lemma ->
-        let vars =
-          List.map
-            (fun ((atom : Expr.t), b) ->
-              match Hashtbl.find_opt q.q_atom_vars atom.Expr.id with
-              | Some v -> Some (if b then -v else v)
-              | None -> None)
-            lemma
-        in
-        if List.for_all Option.is_some vars then begin
-          Sat.add_clause q.q_sat (List.filter_map Fun.id vars);
-          st.n_carry_seeded <- st.n_carry_seeded + 1
-        end)
-      c.lemmas
-end
+  { q_sat = sat; q_root = root; q_atom_vars = atom_vars; q_var_atom = var_atom }
 
 (* Both wrappers below fold the callee's effort counters into the
    domain-local stats even when the call escapes by [Metrics.Timeout]:
@@ -431,12 +344,8 @@ let check_raw ~max_iters ~conflicts ~deadline ?query (e : Expr.t) :
               else begin
                 (* The blocking clause persists in the instance: later
                    iterations — and later rungs resuming this query —
-                   never revisit the refuted propositional model.  The
-                   refuted core is also kept on the query record, so
-                   per-source carryover can re-seed it into the next
-                   query over the same atoms. *)
+                   never revisit the refuted propositional model. *)
                 Sat.add_clause q.q_sat blocking;
-                q.q_lemmas <- !core :: q.q_lemmas;
                 loop (iter + 1)
               end)
         end
@@ -588,7 +497,7 @@ let profile_query ~subject ~qt0 ~conf0 ~shrink0 ~core_size e
 
 let check_degrading ?(max_iters = 400) ?(budget_s = infinity)
     ?(conflict_budget = Sat.default_budget) ?(deadline = Metrics.no_deadline)
-    ?log ?carry ?(subject = "query") (e : Expr.t) :
+    ?log ?(subject = "query") (e : Expr.t) :
     verdict * (Expr.t * bool) list * rung =
   let qt0 = Metrics.now_mono () in
   if Obs.tracing_on () then Obs.begin_span "smt.query";
@@ -624,11 +533,6 @@ let check_degrading ?(max_iters = 400) ?(budget_s = infinity)
     | Some q -> q
     | None ->
       let q = make_query e in
-      (* Re-seed theory lemmas learned on earlier queries from the same
-         source whose atoms all recur here (Carry).  The lemmas are
-         theory-valid, so seeding can only prune the search — verdicts
-         are unchanged, propagation counts drop. *)
-      (match carry with Some c -> Carry.seed c q | None -> ());
       memo_query := Some q;
       q
   in
@@ -731,9 +635,4 @@ let check_degrading ?(max_iters = 400) ?(budget_s = infinity)
         end
         else run_ladder None)
   in
-  (* Harvest whatever theory lemmas this query learned into the caller's
-     per-source pouch (if any) for re-seeding into the next query. *)
-  (match (carry, !memo_query) with
-  | Some c, Some q -> Carry.store c q
-  | _ -> ());
   profile_query ~subject ~qt0 ~conf0 ~shrink0 ~core_size e result

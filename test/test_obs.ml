@@ -513,9 +513,6 @@ let golden_metric_names =
     ("counter", "corecache.n_probe");
     ("counter", "engine.n_candidates");
     ("counter", "engine.n_incidents");
-    ("counter", "engine.n_prefix_checks");
-    ("counter", "engine.n_pruned_candidates");
-    ("counter", "engine.n_pruned_prefixes");
     ("counter", "engine.n_refine_checks");
     ("counter", "engine.n_refine_removed");
     ("counter", "engine.n_rung_cached");
@@ -530,8 +527,6 @@ let golden_metric_names =
     ("counter", "qcache.n_probe");
     ("counter", "solver.n_cache_hits");
     ("counter", "solver.n_cache_misses");
-    ("counter", "solver.n_carry_seeded");
-    ("counter", "solver.n_carry_stored");
     ("counter", "solver.n_conflicts");
     ("counter", "solver.n_core_shrink_calls");
     ("counter", "solver.n_deadline_abort");
@@ -562,8 +557,6 @@ let golden_metric_names =
     ("gauge", "qcache.capacity");
     ("gauge", "qcache.entries");
     ("gauge", "qcache.evictions");
-    ("gauge", "qcache.inserts");
-    ("gauge", "qcache.probes");
     ("histogram", "smt.query.latency_s");
   ]
 

@@ -639,6 +639,71 @@ let test_warm_restart () =
   Alcotest.(check bool) "recovered past torn tail" true (Server.recover t3);
   Alcotest.(check (list string)) "torn tail ignored" expected (final t3)
 
+(* Snapshot and journal are external input: files in them that do not
+   parse must not kill the server at startup.  An unloadable snapshot is
+   a cold start; an unappliable journal line ends the replay like a torn
+   one.  Either way the server then answers [status]. *)
+let temp_snapshot_dir () =
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "pinpoint_srv_%d_%d" (Unix.getpid ()) (Random.bits ()))
+  in
+  Unix.mkdir dir 0o755;
+  dir
+
+let write_file path contents =
+  let oc = open_out_bin path in
+  output_string oc contents;
+  close_out oc
+
+let bad_files_json =
+  {|{"epoch":1,"files":[{"name":"bad.mc","contents":"void f( {"}]}|}
+
+let answers_status t =
+  let resp, _ =
+    Server.handle_line t
+      (Json.to_string (Json.Obj [ ("op", Json.String "status") ]))
+  in
+  Alcotest.(check bool) "status ok" true (response_ok (parse_response resp))
+
+let test_recover_bad_snapshot () =
+  let dir = temp_snapshot_dir () in
+  write_file (Filename.concat dir "snapshot.json") (bad_files_json ^ "\n");
+  let t =
+    Server.create
+      ~config:{ Server.default_config with Server.snapshot_dir = Some dir }
+      ()
+  in
+  Alcotest.(check bool) "unparsable snapshot is a cold start" false
+    (Server.recover t);
+  answers_status t
+
+let test_recover_bad_journal_line () =
+  let dir = temp_snapshot_dir () in
+  let config =
+    {
+      Server.default_config with
+      Server.snapshot_dir = Some dir;
+      snapshot_every = 1000;
+    }
+  in
+  let t1 = Server.create ~config () in
+  Server.load_files t1
+    (contents_of (split_subject 2 (subject ~seed:71 ~loc:200 ())));
+  let final t =
+    let resp, _ =
+      Server.handle_line t (req_of_files ~checkers:[ "use-after-free" ] [])
+    in
+    response_renders (parse_response resp)
+  in
+  let expected = final t1 in
+  write_file (Filename.concat dir "journal.jsonl") (bad_files_json ^ "\n");
+  let t2 = Server.create ~config () in
+  Alcotest.(check bool) "recovered up to the bad line" true (Server.recover t2);
+  answers_status t2;
+  Alcotest.(check (list string)) "snapshot state kept" expected (final t2)
+
 (* ---------- satellite caps ---------- *)
 
 let test_qcache_cap () =
@@ -1238,6 +1303,10 @@ let suite =
     Alcotest.test_case "deadline isolation" `Quick test_deadline_isolation;
     Alcotest.test_case "rss shedding" `Quick test_rss_shedding;
     Alcotest.test_case "warm restart" `Quick test_warm_restart;
+    Alcotest.test_case "recover: unparsable snapshot" `Quick
+      test_recover_bad_snapshot;
+    Alcotest.test_case "recover: unparsable journal line" `Quick
+      test_recover_bad_journal_line;
     Alcotest.test_case "qcache cap" `Quick test_qcache_cap;
     Alcotest.test_case "incident rotation" `Quick test_incident_rotation;
     Alcotest.test_case "request span trees (jobs 4)" `Quick

@@ -688,9 +688,8 @@ let test_corecache_subsume () =
     (Solver.check g = Solver.Sat)
 
 let corecache_subsumption_sound =
-  (* Satellite 3: any query whose conjunct set contains a stored core is
-     Unsat — and the genuine solver agrees — under both SAT backends
-     (PINPOINT_SAT=cdcl and =ref). *)
+  (* Any query whose conjunct set contains a stored core is Unsat — and
+     the genuine solver agrees. *)
   let x = ivar "ccs_x" in
   let y = ivar "ccs_y" in
   let core = [ E.lt x (E.int 3); E.lt (E.int 5) x ] in
@@ -704,12 +703,9 @@ let corecache_subsumption_sound =
     |]
   in
   Helpers.qtest ~count:60
-    "corecache: stored-core supersets are unsat (both SAT impls)"
-    QCheck.(pair (int_bound ((1 lsl Array.length extras) - 1)) bool)
-    (fun (mask, use_ref) ->
-      let impl0 = Sat.impl () in
-      Sat.set_impl (if use_ref then Sat.Ref else Sat.Cdcl);
-      Fun.protect ~finally:(fun () -> Sat.set_impl impl0) @@ fun () ->
+    "corecache: stored-core supersets are unsat"
+    QCheck.(int_bound ((1 lsl Array.length extras) - 1))
+    (fun mask ->
       let extra =
         List.filteri
           (fun i _ -> mask land (1 lsl i) <> 0)
